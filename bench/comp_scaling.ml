@@ -1,262 +1,52 @@
-(* Bitset completion-kernel measurements (PR 3).
+(* #Comp elimination-kernel measurements, written to BENCH_COMP.json
+   (override with INCDB_BENCH_COMP_OUT):
 
-   Three claims, each measured and written to BENCH_COMP.json (override
-   with INCDB_BENCH_COMP_OUT):
+   - a uniform Codd table past any size where enumerating candidate
+     subsets is practical, counted by the forced kernel;
+   - a nonuniform Codd table with a join query, which the default
+     dispatcher routes to the kernel, against brute force;
+   - a non-Codd table with a shared null, against brute force.
 
-   - at the pre-kernel 22-candidate ceiling the kernel beats the seed
-     enumerator (kept as [Comp_candidates.count_reference]) by a wide
-     margin — the seed materializes one [Cdb.t] per subset of the
-     ground-fact universe, the kernel walks a pruned prefix tree of
-     masks;
-
-   - the kernel completes a 26-candidate instance the seed refuses
-     (its ceiling was [max_candidates = 22]);
-
-   - sharded totals are bit-identical across job counts (the shard split
-     is independent of [jobs]).
-
-   As with BENCH_PAR.json, the host core count is recorded: on a
-   single-core machine the jobs > 1 rows measure domain-scheduling
-   overhead, not speedup. *)
+   Every kernel leg runs under each jobs x cache configuration and must
+   be bit-identical.  As with BENCH_PAR.json, the host core count is
+   recorded: the DP is sequential, so the jobs > 1 rows only show that
+   the extra domains cost nothing. *)
 
 open Incdb_bignum
 open Incdb_core
 
 let job_levels = [ 1; 2; 4 ]
 
-let counter_delta names f =
-  let v name = Incdb_obs.Metrics.value (Incdb_obs.Metrics.counter name) in
-  let before = List.map v names in
-  Incdb_obs.Runtime.set_enabled true;
-  let y = f () in
-  Incdb_obs.Runtime.set_enabled false;
-  (y, List.map2 (fun name b -> (name, v name - b)) names before)
-
-(* Kernel vs seed at the seed's ceiling: 22 ground facts, 8 nulls (the
-   sizes are parameters so the smoke run can shrink them). *)
-let ceiling_row ?(d = 22) ?(n = 8) () =
-  let db = Instances.one_unary ~d ~n ~c:0 in
-  let n_kernel, t_kernel =
-    Instances.time (fun () -> Comp_candidates.count ~jobs:1 db)
-  in
-  let n_seed, t_seed =
-    Instances.time (fun () -> Comp_candidates.count_reference db)
-  in
-  assert (Nat.equal n_kernel n_seed);
-  let (_ : Nat.t), counters =
-    counter_delta
-      [ "comp_kernel.subsets_checked"; "comp_kernel.masks_pruned" ]
-      (fun () -> Comp_candidates.count ~jobs:1 db)
-  in
-  let checked = List.assoc "comp_kernel.subsets_checked" counters in
-  let pruned = List.assoc "comp_kernel.masks_pruned" counters in
-  Printf.printf
-    "  kernel vs seed (%d candidates, %d nulls): kernel %.3fs  seed %.3fs  \
-     (%.0fx; %d of %d subsets reached a leaf)\n\
-     %!"
-    d n t_kernel t_seed (t_seed /. t_kernel) checked (1 lsl d);
-  Printf.sprintf
-    "    { \"section\": \"comp_kernel:ceiling-%d-candidates-%d-nulls\", \
-     \"result\": %S,\n\
-    \      \"kernel_seconds\": %.6f, \"seed_seconds\": %.6f,\n\
-    \      \"speedup_vs_seed\": %.3f,\n\
-    \      \"subsets_checked\": %d, \"masks_pruned\": %d, \
-     \"mask_space\": %d }"
-    d n (Nat.to_string n_kernel) t_kernel t_seed (t_seed /. t_kernel) checked
-    pruned (1 lsl d)
-
-(* Beyond the seed's reach: 26 candidates, with bit-identical totals at
-   every job level. *)
-let beyond_row () =
-  let db = Instances.one_unary ~d:26 ~n:8 ~c:0 in
-  let seed_refuses =
-    match Comp_candidates.count_reference db with
-    | (_ : Nat.t) -> false
-    | exception Invalid_argument _ -> true
-  in
-  let counts_and_times =
-    List.map
-      (fun jobs ->
-        let n, t =
-          Instances.time (fun () -> Comp_candidates.count ~jobs db)
-        in
-        (jobs, n, t))
-      job_levels
-  in
-  let _, n1, _ = List.hd counts_and_times in
-  let identical =
-    List.for_all (fun (_, n, _) -> Nat.equal n n1) counts_and_times
-  in
-  assert identical;
-  assert seed_refuses;
-  Printf.printf
-    "  kernel beyond seed ceiling (26 candidates): %s  count %s \
-     (seed refuses; totals identical at all job levels)\n\
-     %!"
-    (String.concat "  "
-       (List.map
-          (fun (j, _, t) -> Printf.sprintf "jobs=%d %.3fs" j t)
-          counts_and_times))
-    (Nat.to_string n1);
-  let cells =
-    List.map
-      (fun (jobs, _, t) ->
-        Printf.sprintf "{ \"jobs\": %d, \"seconds\": %.6f }" jobs t)
-      counts_and_times
-  in
-  Printf.sprintf
-    "    { \"section\": \"comp_kernel:beyond-seed-26-candidates-8-nulls\", \
-     \"result\": %S,\n\
-    \      \"seed_refuses\": %b, \"totals_bit_identical\": %b,\n\
-    \      \"times\": [ %s ] }"
-    (Nat.to_string n1) seed_refuses identical
-    (String.concat ", " cells)
-
-(* Compiled lineage in the kernel: a query leg over the figure-1 shaped
-   nonuniform instance, against the seed with the same query. *)
-let query_row ?(d = 20) ?(n = 10) () =
-  let db = Instances.one_unary ~d ~n ~c:2 in
-  let q = Incdb_cq.Query.Bcq (Incdb_cq.Cq.of_string "R(x)") in
-  let n_kernel, t_kernel =
-    Instances.time (fun () -> Comp_candidates.count ~query:q ~jobs:1 db)
-  in
-  let n_seed, t_seed =
-    Instances.time (fun () -> Comp_candidates.count_reference ~query:q db)
-  in
-  assert (Nat.equal n_kernel n_seed);
-  let (_ : Nat.t), counters =
-    counter_delta [ "comp_kernel.clauses_compiled" ] (fun () ->
-        Comp_candidates.count ~query:q ~jobs:1 db)
-  in
-  let clauses = List.assoc "comp_kernel.clauses_compiled" counters in
-  Printf.printf
-    "  kernel with lineage (%d candidates, query R(x)): kernel %.3fs  seed \
-     %.3fs  (%.0fx, %d clauses)\n\
-     %!"
-    d t_kernel t_seed (t_seed /. t_kernel) clauses;
-  Printf.sprintf
-    "    { \"section\": \"comp_kernel:lineage-%d-candidates-query\", \
-     \"result\": %S,\n\
-    \      \"kernel_seconds\": %.6f, \"seed_seconds\": %.6f,\n\
-    \      \"speedup_vs_seed\": %.3f, \"clauses_compiled\": %d }"
-    d (Nat.to_string n_kernel) t_kernel t_seed (t_seed /. t_kernel) clauses
-
-(* Past one mask word (PR 6): the multi-word kernel at [d] candidates,
-   [n] nulls.  Totals must be bit-identical at every job level, equal
-   the closed form C(d,1) + ... + C(d,n), and — whenever the valuation
-   space is small enough — equal the brute-force parallel enumerator,
-   which shares no code with the kernel. *)
-let wide_row ?(d = 63) ?(n = 3) () =
-  let db = Instances.one_unary ~d ~n ~c:0 in
-  let expected =
-    Nat.sum (List.map (fun k -> Combinat.binomial d k) (List.init n succ))
-  in
-  let counts_and_times =
-    List.map
-      (fun jobs ->
-        let nn, t = Instances.time (fun () -> Comp_candidates.count ~jobs db) in
-        (jobs, nn, t))
-      job_levels
-  in
-  let _, n1, _ = List.hd counts_and_times in
-  assert (List.for_all (fun (_, nn, _) -> Nat.equal nn n1) counts_and_times);
-  assert (Nat.equal n1 expected);
-  let brute_verified =
-    Instances.brute_feasible db
-    &&
-    let nb = Incdb_par.Brute_par.count_all_completions ~jobs:4 db in
-    assert (Nat.equal n1 nb);
-    true
-  in
-  let words = Incdb_bignum.Bitset.words_for d in
-  Printf.printf
-    "  wide kernel (%d candidates, %d-word masks): %s  count %s \
-     (closed form%s; totals identical at all job levels)\n\
-     %!"
-    d words
-    (String.concat "  "
-       (List.map
-          (fun (j, _, t) -> Printf.sprintf "jobs=%d %.3fs" j t)
-          counts_and_times))
-    (Nat.to_string n1)
-    (if brute_verified then " + Brute_par verified" else "");
-  let cells =
-    List.map
-      (fun (jobs, _, t) ->
-        Printf.sprintf "{ \"jobs\": %d, \"seconds\": %.6f }" jobs t)
-      counts_and_times
-  in
-  Printf.sprintf
-    "    { \"section\": \"comp_kernel:wide-%d-candidates-%d-nulls\", \
-     \"result\": %S,\n\
-    \      \"mask_words\": %d, \"brute_verified\": %b, \
-     \"totals_bit_identical\": true,\n\
-    \      \"times\": [ %s ] }"
-    d n (Nat.to_string n1) words brute_verified
-    (String.concat ", " cells)
-
-(* Fast-path preservation: the same sub-ceiling instance counted with
-   both representations.  The wide kernel pays array masks and per-node
-   scratch mutation; the ratio is the cost of forcing it where the
-   single-word kernel suffices — the dispatcher never does. *)
-let repr_row ?(d = 40) ?(n = 5) () =
-  let db = Instances.one_unary ~d ~n ~c:0 in
-  let n_int, t_int =
-    Instances.time (fun () ->
-        Comp_candidates.count ~mask:Comp_candidates.Int_masks ~jobs:1 db)
-  in
-  let n_wide, t_wide =
-    Instances.time (fun () ->
-        Comp_candidates.count ~mask:Comp_candidates.Wide_masks ~jobs:1 db)
-  in
-  assert (Nat.equal n_int n_wide);
-  Printf.printf
-    "  int vs forced-wide (%d candidates): int %.3fs  wide %.3fs  (wide/int \
-     %.2fx)\n\
-     %!"
-    d t_int t_wide (t_wide /. t_int);
-  Printf.sprintf
-    "    { \"section\": \"comp_kernel:repr-%d-candidates-int-vs-wide\", \
-     \"result\": %S,\n\
-    \      \"int_seconds\": %.6f, \"wide_seconds\": %.6f,\n\
-    \      \"wide_over_int\": %.3f }"
-    d (Nat.to_string n_int) t_int t_wide (t_wide /. t_int)
-
-(* The elimination kernel past the enumeration sweet spot (PR 9): [d]
-   candidates is beyond the enumerator's default 80-candidate ceiling,
-   where its 2^d mask space has outgrown prefix pruning — the DP sweep
-   counts the same completions in milliseconds.  The enumerator leg is
-   forced with [~max_candidates:d]; the kernel leg runs through the
-   dispatcher under every jobs x mask x cache combination and must be
-   bit-identical (the totals also equal the closed form
-   C(d,1)+...+C(d,n) and, when feasible, the brute-force dedup). *)
+(* Every kernel leg runs through the dispatcher under each jobs x cache
+   combination and must be bit-identical; the jobs rows of the cache-on
+   half are reported. *)
 let elim_configs =
-  List.concat_map
-    (fun jobs ->
-      List.concat_map
-        (fun mask -> [ (jobs, mask, true); (jobs, mask, false) ])
-        [ Comp_candidates.Int_masks; Comp_candidates.Wide_masks ])
-    job_levels
+  List.concat_map (fun jobs -> [ (jobs, true); (jobs, false) ]) job_levels
 
-let sweep_configs db =
+let sweep_configs ?query db =
   let results =
     List.map
-      (fun (jobs, mask, cache) ->
+      (fun (jobs, cache) ->
         let (algo, nn), t =
           Instances.time (fun () ->
-              Count_comp.count_all ~comp_elim:Comp_kernel.Force ~jobs ~mask
-                ~comp_cache:cache db)
+              match query with
+              | Some q ->
+                Count_comp.count ~comp_elim:Comp_kernel.Force ~jobs
+                  ~comp_cache:cache q db
+              | None ->
+                Count_comp.count_all ~comp_elim:Comp_kernel.Force ~jobs
+                  ~comp_cache:cache db)
         in
         assert (algo = Count_comp.Lineage_elimination);
-        (jobs, mask, cache, nn, t))
+        (jobs, cache, nn, t))
       elim_configs
   in
-  let _, _, _, n1, _ = List.hd results in
-  assert (List.for_all (fun (_, _, _, nn, _) -> Nat.equal nn n1) results);
+  let _, _, n1, _ = List.hd results in
+  assert (List.for_all (fun (_, _, nn, _) -> Nat.equal nn n1) results);
   let times =
     List.filter_map
-      (fun (jobs, mask, cache, _, t) ->
-        if mask = Comp_candidates.Int_masks && cache then
+      (fun (jobs, cache, _, t) ->
+        if cache then
           Some (Printf.sprintf "{ \"jobs\": %d, \"seconds\": %.6f }" jobs t)
         else None)
       results
@@ -266,7 +56,7 @@ let sweep_configs db =
 (* The kernel legs finish in tens of milliseconds, where run-to-run
    variance inside the long bench process (GC state left by earlier
    rows) dominates; report the best of a few runs, the usual
-   microbenchmark practice.  The seconds-long comparison legs are run
+   microbenchmark practice.  The seconds-long brute legs are run
    once. *)
 let time_best f =
   let rec go best = function
@@ -278,20 +68,19 @@ let time_best f =
   let y, t0 = Instances.time f in
   (y, go t0 4)
 
+(* A uniform Codd table of [n] unary nulls over [d] values: [d]
+   candidate facts, a 2^d candidate-subset space.  The forced kernel
+   must equal the closed form C(d,1)+...+C(d,n) and, when feasible, the
+   brute-force dedup. *)
 let elim_row ?(d = 120) ?(n = 3) () =
   let db = Instances.one_unary ~d ~n ~c:0 in
   let expected =
     Nat.sum (List.map (fun k -> Combinat.binomial d k) (List.init n succ))
   in
-  let n_enum, t_enum =
-    Instances.time (fun () ->
-        Comp_candidates.count ~max_candidates:d ~jobs:1 db)
-  in
   let n_kernel, t_kernel =
     time_best (fun () ->
         snd (Count_comp.count_all ~comp_elim:Comp_kernel.Force db))
   in
-  assert (Nat.equal n_kernel n_enum);
   assert (Nat.equal n_kernel expected);
   let n_sweep, times = sweep_configs db in
   assert (Nat.equal n_sweep n_kernel);
@@ -303,26 +92,83 @@ let elim_row ?(d = 120) ?(n = 3) () =
     true
   in
   Printf.printf
-    "  elimination past the enumeration ceiling (%d candidates): kernel \
-     %.3fs  enumerator %.3fs  (%.0fx%s; bit-identical over %d jobs x mask \
-     x cache configs)\n\
+    "  uniform Codd table (%d candidates, %d nulls): kernel %.3fs  (closed \
+     form%s; bit-identical over %d jobs x cache configs)\n\
      %!"
-    d t_kernel t_enum (t_enum /. t_kernel)
-    (if brute_verified then ", Brute_par verified" else "")
+    d n t_kernel
+    (if brute_verified then " + Brute_par verified" else "")
     (List.length elim_configs);
   Printf.sprintf
-    "    { \"section\": \"comp_elim:beyond-enum-%d-candidates-%d-nulls\", \
+    "    { \"section\": \"comp_elim:codd-%d-candidates-%d-nulls\", \
      \"result\": %S,\n\
-    \      \"kernel_seconds\": %.6f, \"enum_seconds\": %.6f,\n\
-    \      \"speedup_vs_enum\": %.3f, \"brute_verified\": %b,\n\
+    \      \"kernel_seconds\": %.6f, \"brute_verified\": %b,\n\
     \      \"configs_swept\": %d, \"times\": [ %s ] }"
-    d n (Nat.to_string n_kernel) t_kernel t_enum (t_enum /. t_kernel)
-    brute_verified (List.length elim_configs)
+    d n (Nat.to_string n_kernel) t_kernel brute_verified
+    (List.length elim_configs)
+    (String.concat ", " times)
+
+(* A nonuniform Codd table with a join: facts B(?a_i, k_i) and U(?b_i)
+   for i < [pairs], every null over [d] consecutive values — ?a_i from
+   v(i*d/2), ?b_i from v(d/4 + i*d), so the U-images are disjoint and
+   overlap the B-images — with query B(x,y), U(x): [2 * pairs * d]
+   candidate facts.  No closed form applies, so the default dispatcher
+   routes it to the kernel; the brute leg enumerates the d^(2 pairs)
+   valuations. *)
+let codd_join_db ~pairs ~d =
+  let open Incdb_incomplete in
+  let from lo = List.init d (fun j -> "v" ^ string_of_int (lo + j)) in
+  let facts, doms =
+    List.split
+      (List.concat
+         (List.init pairs (fun i ->
+              let a = Printf.sprintf "a%d" i and b = Printf.sprintf "b%d" i in
+              [
+                ( Idb.fact "B" [ Term.null a; Term.const (Printf.sprintf "k%d" i) ],
+                  (a, from (i * d / 2)) );
+                (Idb.fact "U" [ Term.null b ], (b, from ((d / 4) + (i * d))));
+              ])))
+  in
+  Idb.make facts (Idb.Nonuniform doms)
+
+let codd_join_row ?(pairs = 2) ?(d = 20) () =
+  let db = codd_join_db ~pairs ~d in
+  let q = Incdb_cq.Cq.of_string "B(x,y), U(x)" in
+  let cands =
+    match Comp_kernel.plan db with
+    | Ok p -> Comp_kernel.plan_universe p
+    | Error _ -> assert false
+  in
+  assert (cands = 2 * pairs * d);
+  let algo, n_auto = Count_comp.count q db in
+  assert (algo = Count_comp.Lineage_elimination);
+  let _, t_kernel = time_best (fun () -> snd (Count_comp.count q db)) in
+  let n_sweep, times = sweep_configs ~query:q db in
+  assert (Nat.equal n_sweep n_auto);
+  let n_brute, t_brute =
+    Instances.time (fun () ->
+        Incdb_par.Brute_par.count_completions ~jobs:1
+          (Incdb_cq.Query.Bcq q) db)
+  in
+  assert (Nat.equal n_auto n_brute);
+  Printf.printf
+    "  nonuniform Codd join (%d candidates): kernel %.3fs  brute %.3fs  \
+     (%.0fx, Brute_par verified; bit-identical over %d configs)\n\
+     %!"
+    cands t_kernel t_brute (t_brute /. t_kernel)
+    (List.length elim_configs);
+  Printf.sprintf
+    "    { \"section\": \"comp_elim:codd-join-%d-candidates\", \
+     \"result\": %S,\n\
+    \      \"kernel_seconds\": %.6f, \"brute_seconds\": %.6f,\n\
+    \      \"speedup_vs_brute\": %.3f, \"configs_swept\": %d,\n\
+    \      \"times\": [ %s ] }"
+    cands (Nat.to_string n_auto) t_kernel t_brute
+    (t_brute /. t_kernel) (List.length elim_configs)
     (String.concat ", " times)
 
 (* The first non-Codd row the dispatcher solves without brute force: a
    shared null across R and S (plus free nulls on both sides), which no
-   closed form and no Codd enumerator accepts.  The kernel conditions on
+   closed form accepts.  The kernel conditions on
    the shared null and sweeps all branches jointly; the brute leg is the
    pre-kernel cliff for the same instance. *)
 let noncodd_row ?(d = 30) ?(free_r = 2) ?(free_s = 1) () =
@@ -334,7 +180,7 @@ let noncodd_row ?(d = 30) ?(free_r = 2) ?(free_s = 1) () =
   in
   assert (algo = Count_comp.Lineage_elimination);
   let _, t_kernel =
-    Instances.time (fun () ->
+    time_best (fun () ->
         snd (Count_comp.count_all ~comp_elim:Comp_kernel.Force db))
   in
   let n_sweep, times = sweep_configs db in
@@ -381,50 +227,22 @@ let write_sections rows =
   Printf.printf "  completion-kernel data written to %s\n%!" path
 
 let run () =
-  Printf.printf "\n=== Completion kernel (bitset candidate enumeration) ===\n";
+  Printf.printf "\n=== Completion kernel (#Comp elimination) ===\n";
   Printf.printf "  host cores (recommended domain count): %d\n%!"
     (Incdb_par.Pool.recommended ());
-  let r1 = ceiling_row () in
-  let r2 = beyond_row () in
-  let r3 = query_row () in
-  let r4 = wide_row ~d:63 ~n:3 () in
-  let r5 = wide_row ~d:80 ~n:3 () in
-  let r6 = repr_row () in
-  let r7 = elim_row () in
-  let r8 = noncodd_row () in
-  write_sections [ r1; r2; r3; r4; r5; r6; r7; r8 ]
+  (* Explicit sequencing: list elements evaluate right-to-left, which
+     would reverse the progress lines. *)
+  let r1 = elim_row () in
+  let r2 = codd_join_row () in
+  let r3 = noncodd_row () in
+  write_sections [ r1; r2; r3 ]
 
-(* Kernel-only sections for the @bench-compare regression gate: skips
-   the seed enumerator legs (the 22-candidate seed run alone costs
-   minutes), keeping the rows whose timings the gate tracks — the
-   26-candidate single-word kernel, both wide rows, and the
-   representation-overhead row. *)
-let run_gate () =
-  Printf.printf "\n=== Completion kernel (regression-gate sections) ===\n";
-  Printf.printf "  host cores (recommended domain count): %d\n%!"
-    (Incdb_par.Pool.recommended ());
-  let r1 = beyond_row () in
-  let r2 = wide_row ~d:63 ~n:3 () in
-  let r3 = wide_row ~d:80 ~n:3 () in
-  let r4 = repr_row () in
-  let r5 = elim_row () in
-  let r6 = noncodd_row () in
-  write_sections [ r1; r2; r3; r4; r5; r6 ]
-
-(* Tiny sizes for @bench-smoke.  The beyond-seed row has no tiny variant
-   — the seed only refuses above its fixed 22-candidate ceiling — so the
-   smoke run covers the ceiling and lineage paths, plus the smallest
-   instance that genuinely exercises multi-word masks (63 candidates is
-   the minimum by construction). *)
+(* Tiny sizes for @bench-smoke: the same rows and assertions, with the
+   uniform table shrunk to 30 candidates, the join to 24 and the
+   non-Codd sweep to an 8-value domain. *)
 let smoke () =
   Printf.printf "\n=== Completion kernel (smoke) ===\n%!";
-  let (_ : string) = ceiling_row ~d:10 ~n:4 () in
-  let (_ : string) = query_row ~d:10 ~n:6 () in
-  let (_ : string) = wide_row ~d:63 ~n:2 () in
-  (* The elimination rows at tiny sizes: past-ceiling shrinks to a
-     30-candidate universe (still above nothing — the claim checked here
-     is agreement, not speedup) and the non-Codd sweep to an 8-value
-     domain. *)
   let (_ : string) = elim_row ~d:30 ~n:2 () in
+  let (_ : string) = codd_join_row ~pairs:2 ~d:6 () in
   let (_ : string) = noncodd_row ~d:8 ~free_r:1 ~free_s:1 () in
   ()

@@ -72,8 +72,7 @@ let dense_biclique ~k ~d ~e =
 (* Non-Codd workload: the null ?p occurs in both an R-fact and an
    S-fact, plus [free_r] and [free_s] single-occurrence nulls, each null
    over its own copy of a [d]-value domain (nonuniform, so the
-   Theorem 4.6 closed form is out; non-Codd, so the candidate enumerator
-   is out).  Before the elimination kernel this shape always fell off
+   Theorem 4.6 closed form is out).  Before the elimination kernel this shape always fell off
    the brute-force cliff — d^(1+free_r+free_s) valuations enumerated and
    deduped.  The kernel conditions on ?p (d branches, run jointly) and
    sweeps the 2d-candidate universe once. *)

@@ -39,12 +39,8 @@ let () =
     (* Regenerate BENCH_SERVE.json alone (warm-vs-cold service rates). *)
     Serve_scaling.run ()
   else if mode = "comp" then
-    (* Kernel-only BENCH_COMP sections for the regression gate (the
-       full comp run's seed-enumerator legs cost minutes); `comp full`
-       regenerates the complete artifact, seed legs included. *)
-    if Array.length Sys.argv > 2 && Sys.argv.(2) = "full" then
-      Comp_scaling.run ()
-    else Comp_scaling.run_gate ()
+    (* Regenerate BENCH_COMP.json alone (#Comp elimination kernel). *)
+    Comp_scaling.run ()
   else begin
     let quick = mode = "quick" in
     Printf.printf

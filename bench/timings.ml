@@ -112,10 +112,18 @@ let symbolic_probe =
     fun () ->
       ignore (Count_val.uniform_symbolic q facts ~domain_size:1_000_000_000) )
 
-let candidates_probe =
-  let db = Instances.one_unary ~d:3 ~n:18 ~c:0 in
-  ( "propB.1:candidate-space-completions",
-    fun () -> ignore (Incdb_core.Comp_candidates.count db) )
+(* 18 unary nulls, each over its own copy of a 3-value domain: Codd and
+   nonuniform, so the #Comp dispatcher routes it to the elimination
+   kernel (3^18 valuations, 3 candidate facts). *)
+let comp_codd_probe =
+  let dom = [ "v0"; "v1"; "v2" ] in
+  let nulls = List.init 18 (Printf.sprintf "n%d") in
+  let db =
+    Idb.make
+      (List.map (fun n -> Idb.fact "R" [ Term.null n ]) nulls)
+      (Idb.Nonuniform (List.map (fun n -> (n, dom)) nulls))
+  in
+  ("comp:codd-dispatch-18-nulls", fun () -> ignore (Count_comp.count_all db))
 
 let hopcroft_karp_probe =
   let b = Generators.random_bipartite ~seed:5 40 40 1 3 in
@@ -137,7 +145,7 @@ let all_probes =
     gadget_probe;
     is_completion_probe;
     symbolic_probe;
-    candidates_probe;
+    comp_codd_probe;
     hopcroft_karp_probe;
   ]
 

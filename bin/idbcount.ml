@@ -149,13 +149,6 @@ let handle_limits ?(what = "this query/database pair") f =
   | Idb.Too_many_valuations { total; limit } ->
     prerr_endline (too_many_msg what total limit);
     raise Cli_error
-  | Comp_candidates.Too_many_candidates { universe; limit } ->
-    Printf.eprintf
-      "error: the candidate universe has %d ground facts (limit %d).\n\
-       Raise --max-candidates (with --comp-mask auto past 62 facts), or \
-       use `idbcount bounds` for an estimate.\n"
-      universe limit;
-    raise Cli_error
   | Val_kernel.Too_many_events { events; limit } ->
     Printf.eprintf
       "error: the #Val kernel would compile %d Karp-Luby events (limit \
@@ -168,17 +161,8 @@ let handle_limits ?(what = "this query/database pair") f =
     Printf.eprintf
       "error: the #Comp elimination kernel declined the instance: %s.\n\
        Drop --comp-elim force to let the dispatcher fall back, or raise \
-       the offending limit (--comp-width-bound, --max-candidates, \
-       --brute-limit).\n"
+       the offending limit (--comp-width-bound, --brute-limit).\n"
       (Comp_kernel.infeasible_to_string reason);
-    raise Cli_error
-  | Lineage.Too_many_clauses { clauses; limit } ->
-    Printf.eprintf
-      "error: the compiled lineage has %d clauses, more than one conflict \
-       mask word holds (limit %d).\n\
-       Use `idbcount approx` (sampling does not build conflict masks) or \
-       a smaller instance.\n"
-      clauses limit;
     raise Cli_error
 
 (* The #Val lineage-elimination kernel knobs, shared by count/approx. *)
@@ -320,39 +304,13 @@ let count_cmd =
     let doc = "Maximum number of valuations brute force may enumerate." in
     Arg.(value & opt int 4_000_000 & info [ "brute-limit" ] ~doc)
   in
-  let max_candidates =
-    let doc =
-      "Largest ground-fact universe the completion-counting bitset kernel \
-       may enumerate (the mask space is 2^N subsets, sharded over --jobs)."
-    in
-    Arg.(value
-        & opt int Comp_candidates.default_max_candidates
-        & info [ "max-candidates" ] ~docv:"N" ~doc)
-  in
-  let comp_mask =
-    let doc =
-      "Mask representation of the completion-counting kernel: auto (the \
-       default; single-word int masks up to the word ceiling, multi-word \
-       bitsets beyond), or force int / wide for A/B measurement."
-    in
-    Arg.(value
-        & opt
-            (enum
-               [
-                 ("auto", Comp_candidates.Auto);
-                 ("int", Comp_candidates.Int_masks);
-                 ("wide", Comp_candidates.Wide_masks);
-               ])
-            Comp_candidates.Auto
-        & info [ "comp-mask" ] ~docv:"REPR" ~doc)
-  in
   let comp_elim =
     let doc =
       "The #Comp lineage-elimination arm: auto (the default; used \
-       whenever a sweep plan compiles and the candidate enumerator does \
-       not apply), off (restore the pre-kernel dispatch), or force \
-       (require the kernel; a declined instance is a hard error instead \
-       of a fallback)."
+       whenever a sweep plan compiles and the Theorem 4.6 closed form does \
+       not apply), off (closed form, else brute force), or force (require \
+       the kernel; a declined instance is a hard error instead of a \
+       fallback)."
     in
     Arg.(value
         & opt
@@ -389,7 +347,7 @@ let count_cmd =
   in
   let run obs db_path q problem brute_limit val_width_bound val_max_events
       val_max_cells val_order val_cache_entries val_spill val_spill_dir
-      max_candidates comp_mask comp_elim comp_width_bound comp_max_cells jobs =
+      comp_elim comp_width_bound comp_max_cells jobs =
     with_obs obs (fun () ->
         match load_db db_path with
         | Error msg ->
@@ -417,9 +375,9 @@ let count_cmd =
                   (Count_val.algorithm_to_string a, n)
                 | `Comp ->
                   let a, n =
-                    Count_comp.count ~brute_limit ~max_candidates ~jobs
-                      ~mask:comp_mask ~comp_elim ~comp_width_bound
-                      ~comp_max_cells ?comp_spill_dir:val_spill_dir q db
+                    Count_comp.count ~brute_limit ~jobs ~comp_elim
+                      ~comp_width_bound ~comp_max_cells
+                      ?comp_spill_dir:val_spill_dir q db
                   in
                   (Count_comp.algorithm_to_string a, n)
               in
@@ -434,7 +392,7 @@ let count_cmd =
       const run $ obs_term $ db_arg $ query_opt $ problem $ brute_limit
       $ val_width_bound_term $ val_max_events_term $ val_max_cells_term
       $ val_order_term $ val_cache_entries_term $ val_spill_term
-      $ val_spill_dir_term $ max_candidates $ comp_mask $ comp_elim
+      $ val_spill_dir_term $ comp_elim
       $ comp_width_bound $ comp_max_cells $ jobs_term)
 
 (* ------------------------------------------------------------------ *)

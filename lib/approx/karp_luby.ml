@@ -111,13 +111,6 @@ let events_built = Metrics.counter "karp_luby.events_built"
 let samples_drawn = Metrics.counter "karp_luby.samples_drawn"
 let coverage_hits = Metrics.counter "karp_luby.coverage_hits"
 let estimate_latency = Metrics.histogram "karp_luby.estimate_ns"
-let iex_cache_hits = Metrics.counter "karp_luby.iex_cache_hits"
-let iex_cache_misses = Metrics.counter "karp_luby.iex_cache_misses"
-
-(* Words per fixed-null mask in the memoized inclusion–exclusion: 1 when
-   the nulls fit one machine word, more on the wide-bitset path — the
-   representation choice is observable instead of silent. *)
-let iex_mask_repr = Metrics.gauge "iex.mask_repr"
 let running_estimate = Metrics.gauge "karp_luby.running_estimate"
 
 let events q db =
@@ -312,17 +305,13 @@ let rec add_partial sigma = function
     | Some c' -> if c = c' then add_partial sigma rest else None
     | None -> add_partial ((n, c) :: sigma) rest)
 
-let popcount mask =
-  let rec pop m acc = if m = 0 then acc else pop (m land (m - 1)) (acc + 1) in
-  pop mask 0
-
-let signed_term acc mask size =
-  Zint.add acc (if popcount mask land 1 = 1 then size else Zint.neg size)
-
-(* The straightforward 2^m loop: every subset's merged valuation is
-   rebuilt from scratch.  Kept as the reference the memoized path is
-   tested against. *)
-let exact_unmemoized evs m db =
+(* Inclusion–exclusion over the events: the straightforward 2^m loop,
+   every subset's merged valuation rebuilt from scratch. *)
+let exact_unmemoized q db =
+  let evs = Array.of_list (events q db) in
+  let m = Array.length evs in
+  if m > 20 then
+    invalid_arg "Karp_luby.exact_unmemoized: too many events for inclusion-exclusion";
   let acc = ref Zint.zero in
   for mask = 1 to (1 lsl m) - 1 do
     (* Merge the partial valuations of the chosen events. *)
@@ -337,136 +326,9 @@ let exact_unmemoized evs m db =
     match merge 0 [] with
     | None -> ()
     | Some sigma ->
-      acc := signed_term !acc mask (Zint.of_nat (event_size db sigma))
+      let size = Zint.of_nat (event_size db sigma) in
+      acc :=
+        Zint.add !acc
+          (if Bitset.popword mask land 1 = 1 then size else Zint.neg size)
   done;
   Zint.to_nat !acc
-
-(* Memoized inclusion-exclusion (the Lemma A.13 style term cache the
-   ROADMAP asks for), through the {!Lineage} slot-assignment clauses.
-   Two layers of sharing across the 2^m subsets: pairwise conflict masks
-   make subset validity one [land] per mask (a set of events is jointly
-   mergeable iff pairwise conflict-free, and a conflict in a subset kills
-   all its supersets), and — since an event term's size depends only on
-   WHICH nulls the subset fixes, not on their values — term sizes are
-   cached keyed on the subset's fixed-null mask (the [lor] of its events'
-   fixed masks).  Subsets that fix the same nulls (ubiquitous when events
-   range over the same tuples with different witness values) share one
-   size computation; the hit/miss counters make the sharing
-   observable. *)
-let exact_memoized_masked evs m db =
-  let fixes = encode_fixes evs db in
-  let fixed = Lineage.fixed_masks fixes in
-  let conflicts = Lineage.conflict_masks fixes in
-  let dom_sizes =
-    Array.of_list
-      (List.map
-         (fun n -> Nat.of_int (List.length (Idb.domain_of db n)))
-         (Idb.nulls db))
-  in
-  let nn = Array.length dom_sizes in
-  let size_of_fixed : (int, Zint.t) Hashtbl.t = Hashtbl.create 64 in
-  let size fixedmask =
-    match Hashtbl.find_opt size_of_fixed fixedmask with
-    | Some z ->
-      Metrics.incr iex_cache_hits;
-      z
-    | None ->
-      Metrics.incr iex_cache_misses;
-      let rec free j acc =
-        if j = nn then acc
-        else
-          free (j + 1)
-            (if fixedmask land (1 lsl j) <> 0 then acc
-             else Nat.mul acc dom_sizes.(j))
-      in
-      let z = Zint.of_nat (free 0 Nat.one) in
-      Hashtbl.replace size_of_fixed fixedmask z;
-      z
-  in
-  let nmasks = 1 lsl m in
-  let valid = Array.make nmasks true in
-  let fixedmask = Array.make nmasks 0 in
-  let acc = ref Zint.zero in
-  for mask = 1 to nmasks - 1 do
-    let low =
-      (* index of the lowest set bit *)
-      let rec go i = if mask land (1 lsl i) <> 0 then i else go (i + 1) in
-      go 0
-    in
-    let rest = mask land (mask - 1) in
-    let ok = valid.(rest) && conflicts.(low) land rest = 0 in
-    valid.(mask) <- ok;
-    if ok then begin
-      fixedmask.(mask) <- fixedmask.(rest) lor fixed.(low);
-      acc := signed_term !acc mask (size fixedmask.(mask))
-    end
-  done;
-  Zint.to_nat !acc
-
-(* The same recurrence past one word of nulls: fixed-null sets become
-   {!Bitset.Wide} masks (the conflict masks stay single-word — they are
-   over the <= 20 events, not the nulls) and the term-size cache is
-   keyed on the wide mask, whose structural hash/equality give exactly
-   the int path's sharing classes.  Replaces the pre-wide sorted-name-
-   list fallback, which rebuilt and re-sorted a name list per subset. *)
-let exact_memoized_wide evs m db =
-  let module W = Bitset.Wide in
-  let fixes = encode_fixes evs db in
-  let nulls = Idb.nulls db in
-  let nn = List.length nulls in
-  let fixed = Lineage.Wide.fixed_masks ~width:nn fixes in
-  let conflicts = Lineage.conflict_masks fixes in
-  let dom_sizes =
-    Array.of_list
-      (List.map (fun n -> Nat.of_int (List.length (Idb.domain_of db n))) nulls)
-  in
-  let size_of_fixed : (W.t, Zint.t) Hashtbl.t = Hashtbl.create 64 in
-  let size fixedmask =
-    match Hashtbl.find_opt size_of_fixed fixedmask with
-    | Some z ->
-      Metrics.incr iex_cache_hits;
-      z
-    | None ->
-      Metrics.incr iex_cache_misses;
-      let free = ref Nat.one in
-      for j = 0 to nn - 1 do
-        if not (W.test fixedmask j) then free := Nat.mul !free dom_sizes.(j)
-      done;
-      let z = Zint.of_nat !free in
-      Hashtbl.replace size_of_fixed fixedmask z;
-      z
-  in
-  let nmasks = 1 lsl m in
-  let valid = Array.make nmasks true in
-  let fixedmask = Array.make nmasks (W.zero ~width:nn) in
-  let acc = ref Zint.zero in
-  for mask = 1 to nmasks - 1 do
-    let low =
-      (* index of the lowest set bit *)
-      let rec go i = if mask land (1 lsl i) <> 0 then i else go (i + 1) in
-      go 0
-    in
-    let rest = mask land (mask - 1) in
-    let ok = valid.(rest) && conflicts.(low) land rest = 0 in
-    valid.(mask) <- ok;
-    if ok then begin
-      fixedmask.(mask) <- W.union fixedmask.(rest) fixed.(low);
-      acc := signed_term !acc mask (size fixedmask.(mask))
-    end
-  done;
-  Zint.to_nat !acc
-
-let exact_via_events ?(memo = true) q db =
-  let evs = Array.of_list (events q db) in
-  let m = Array.length evs in
-  if m > 20 then
-    invalid_arg "Karp_luby.exact_via_events: too many events for inclusion-exclusion";
-  if not memo then exact_unmemoized evs m db
-  else begin
-    let nn = List.length (Idb.nulls db) in
-    let wide = nn > Lineage.max_universe in
-    Metrics.set iex_mask_repr
-      (float_of_int (if wide then Bitset.words_for nn else 1));
-    if wide then exact_memoized_wide evs m db
-    else exact_memoized_masked evs m db
-  end

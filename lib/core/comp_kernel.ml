@@ -1,7 +1,7 @@
 (* Lineage-driven elimination for #Comp.
 
-   The enumerator (Comp_candidates) visits every surviving completion;
-   this kernel counts them by DP instead, and extends past Codd tables.
+   Counts the completions by DP over the candidate-fact interaction
+   graph instead of visiting them one by one, Codd tables or not.
 
    Correctness rests on the surjection characterization: fixing an
    assignment [a] of the shared nulls, S is a completion of the residual
@@ -25,8 +25,8 @@
    Determinism: the sweep is sequential (jobs accepted, unused), the
    frontier is an explicit array in first-reach order, families are
    interned behind canonical sorting, and Nat addition is exact — the
-   count and every elim counter are invariant across jobs, mask
-   representation and cache on/off. *)
+   count and every elim counter are invariant across jobs and cache
+   on/off. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -35,7 +35,6 @@ open Incdb_relational
 module Metrics = Incdb_obs.Metrics
 module Events = Incdb_obs.Events
 module Trace = Incdb_obs.Trace
-module WB = Bitset.Wide
 
 type choice = Auto | Off | Force
 
@@ -187,6 +186,41 @@ let build ?query ~width_bound ~max_branches ~max_universe db =
       (fun ch -> Array.exists (function `Shared _ -> true | _ -> false) ch)
       fact_choices
   in
+  (* Interchangeable facts: facts without shared nulls that agree on the
+     relation and on every position's choices have one ground image I.
+     One copy already imposes the star condition, and a matching uses at
+     most |I| copies (each takes a distinct candidate of I), so keeping
+     min(copies, |I|) of them leaves the completions unchanged — and
+     keeps many nulls over one small domain from opening a fact window
+     each. *)
+  let facts, fact_choices, bdep =
+    let copies = Hashtbl.create 16 in
+    let keep f =
+      bdep.(f)
+      ||
+      let ch = fact_choices.(f) in
+      let key =
+        ( facts.(f).Idb.rel,
+          Array.map
+            (function
+              | `Free d -> `Free (List.sort compare (Array.to_list d))
+              | (`Const _ | `Shared _) as c -> c)
+            ch )
+      in
+      let image =
+        Array.fold_left
+          (fun acc -> function `Free d -> min nf (acc * Array.length d) | _ -> acc)
+          1 ch
+      in
+      let seen = Option.value ~default:0 (Hashtbl.find_opt copies key) in
+      Hashtbl.replace copies key (seen + 1);
+      seen < max 1 image
+    in
+    let kept = List.filter keep (List.init nf Fun.id) in
+    let pick a = Array.of_list (List.map (fun f -> a.(f)) kept) in
+    (pick facts, pick fact_choices, pick bdep)
+  in
+  let nf = Array.length facts in
   let iter_image f b yield =
     let ch = fact_choices.(f) in
     let k = Array.length ch in
@@ -278,7 +312,7 @@ let build ?query ~width_bound ~max_branches ~max_universe db =
           Array.map
             (fun mask ->
               let bits = ref [] in
-              WB.iter (fun i -> bits := i :: !bits) mask;
+              Bitset.iter (fun i -> bits := i :: !bits) mask;
               Array.of_list (List.rev !bits))
             (Lineage.Wide.clauses l)
         in
@@ -297,27 +331,27 @@ let build ?query ~width_bound ~max_branches ~max_universe db =
   let sweep, bag_of_step, nbags =
     if m = 0 then ([||], [||], 0)
     else begin
-      let adj = Array.init m (fun _ -> WB.zero ~width:m) in
+      let adj = Array.init m (fun _ -> Bitset.zero ~width:m) in
       Array.iter
         (fun cl ->
           if Array.length cl > 1 then begin
-            let cm = WB.zero ~width:m in
-            Array.iter (fun v -> WB.set_inplace cm v) cl;
+            let cm = Bitset.zero ~width:m in
+            Array.iter (fun v -> Bitset.set_inplace cm v) cl;
             Array.iter
               (fun v ->
-                let r = WB.union adj.(v) cm in
-                WB.clear_inplace r v;
+                let r = Bitset.union adj.(v) cm in
+                Bitset.clear_inplace r v;
                 adj.(v) <- r)
               cl
           end)
         cliques;
-      let alive = WB.copy (WB.full ~width:m) in
+      let alive = Bitset.full ~width:m in
       let order = Array.make m 0 in
       for k = 0 to m - 1 do
         let best = ref (-1) and bestd = ref max_int in
         for v = 0 to m - 1 do
-          if WB.test alive v then begin
-            let d = WB.popcount_inter adj.(v) alive in
+          if Bitset.test alive v then begin
+            let d = Bitset.popcount_inter adj.(v) alive in
             if d < !bestd then begin
               best := v;
               bestd := d
@@ -326,12 +360,12 @@ let build ?query ~width_bound ~max_branches ~max_universe db =
         done;
         let v = !best in
         order.(k) <- v;
-        WB.clear_inplace alive v;
-        let nbrs = WB.inter adj.(v) alive in
-        WB.iter
+        Bitset.clear_inplace alive v;
+        let nbrs = Bitset.inter adj.(v) alive in
+        Bitset.iter
           (fun u ->
-            let r = WB.union adj.(u) nbrs in
-            WB.clear_inplace r u;
+            let r = Bitset.union adj.(u) nbrs in
+            Bitset.clear_inplace r u;
             adj.(u) <- r)
           nbrs
       done;
@@ -578,7 +612,7 @@ let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
         let a = Array.of_list l in
         Array.sort
           (fun x y ->
-            let c = compare (Lineage.popcount y) (Lineage.popcount x) in
+            let c = compare (Bitset.popword y) (Bitset.popword x) in
             if c <> 0 then c else compare x y)
           a;
         let kept = vec_create () in

@@ -34,21 +34,27 @@
     is counted exactly once.
 
     The DP is sequential and fully deterministic: counts and the
-    [comp_kernel.elim_*] counters are invariant across [jobs], mask
-    representation and cache configuration. *)
+    [comp_kernel.elim_*] counters are invariant across [jobs] and cache
+    configuration.
+
+    Under the default dispatch of {!Count_comp} this is the arm for
+    every instance outside the Theorem 4.6 closed form whose plan
+    compiles, Codd tables included. *)
 
 open Incdb_bignum
 open Incdb_cq
 open Incdb_incomplete
 
-(** Dispatch choice for the elimination arm ([--comp-elim]). *)
+(** Dispatch choice for the elimination arm ([--comp-elim]): [Auto] uses
+    the kernel whenever a plan compiles, [Off] means closed form, else
+    brute force, [Force] requires the kernel. *)
 type choice = Auto | Off | Force
 
 val choice_to_string : choice -> string
 
 (** Typed reasons the kernel declines (or abandons) an instance, in the
-    style of the other limits ([Too_many_valuations] / [_candidates] /
-    [_events]) so the CLI reports them uniformly:
+    style of the other limits ([Too_many_valuations] /
+    [Too_many_events]) so the CLI reports them uniformly:
 
     - [Uncompilable_query]: the query has no mask-DNF lineage
       (opaque [Semantic] queries).

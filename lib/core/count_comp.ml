@@ -392,62 +392,37 @@ let applicable query db =
 module Trace = Incdb_obs.Trace
 module Log = Incdb_obs.Log
 
-(* Dispatch routes carry the work the probe already did: the enumerator
-   route keeps the materialized universe, the elimination route keeps
-   the compiled sweep plan. *)
-type route =
-  | R_uniform
-  | R_enum of Incdb_relational.Cdb.fact array
-  | R_elim of Comp_kernel.plan
-  | R_brute
+(* The elimination route carries the plan the probe compiled, so the
+   counting call does not rebuild it. *)
+type route = R_uniform | R_elim of Comp_kernel.plan | R_brute
 
-(* Policy: the Theorem 4.6 closed enumeration when it applies; the
-   candidate enumerator when the table is Codd and its universe fits the
-   cap (it wins on small universes: no plan, no state interning); then
-   the elimination kernel whenever it can compile a plan — in particular
-   on every feasible non-Codd instance, which previously went straight
-   to brute force; brute force as the last resort.  [Force] requires the
-   kernel — it overrides every other arm, the closed form included, and
-   makes plan failures loud instead of falling back; [Off] restores the
-   pre-kernel policy.  The probe grounds at most [max_candidates + 1]
-   facts (early exit) and returns the materialized work so counting does
-   not repeat it. *)
-let dispatch_route ?(max_candidates = Comp_candidates.default_max_candidates)
-    ~comp_elim ?comp_width_bound query db =
+(* Policy: the Theorem 4.6 closed enumeration when it applies; then the
+   elimination kernel whenever it can compile a plan, Codd or not; brute
+   force as the last resort.  [Force] requires the kernel — it overrides
+   every other arm, the closed form included, and makes plan failures
+   loud instead of falling back; [Off] keeps the closed form and sends
+   everything else to brute force. *)
+let dispatch_route ~comp_elim ?comp_width_bound query db =
   Trace.with_span "count_comp.pattern_match" (fun () ->
       if comp_elim <> Comp_kernel.Force && applicable query db then R_uniform
-      else begin
-        let plan_query = Option.map (fun q -> Query.Bcq q) query in
-        let try_elim fallback =
-          match
-            Comp_kernel.plan ?query:plan_query ?width_bound:comp_width_bound db
-          with
-          | Ok p -> R_elim p
-          | Error i -> fallback i
-        in
-        match comp_elim with
-        | Comp_kernel.Force ->
-          try_elim (fun i -> raise (Comp_kernel.Infeasible i))
-        | (Comp_kernel.Auto | Comp_kernel.Off) as c -> (
-          let enum =
-            if Idb.is_codd db then
-              Comp_candidates.universe_within db ~limit:max_candidates
-            else None
-          in
-          match enum with
-          | Some u -> R_enum u
-          | None ->
-            if c = Comp_kernel.Auto then try_elim (fun _ -> R_brute)
-            else R_brute)
-      end)
+      else if comp_elim = Comp_kernel.Off then R_brute
+      else
+        match
+          Comp_kernel.plan
+            ?query:(Option.map (fun q -> Query.Bcq q) query)
+            ?width_bound:comp_width_bound db
+        with
+        | Ok p -> R_elim p
+        | Error i ->
+          if comp_elim = Comp_kernel.Force then raise (Comp_kernel.Infeasible i)
+          else R_brute)
 
 (* Shared back half of [count]/[count_all]: run the routed engine, with
    the elimination arm falling back to brute force if the DP outgrows
    its state budget mid-run under [Auto] (mirrors the #Val kernel's
    conditioning fallback). *)
-let run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
-    ?comp_max_cells ?comp_max_states ?(comp_cache = true) ?comp_memos
-    ?comp_spill_dir query db route =
+let run_route ?brute_limit ~jobs ~comp_elim ?comp_max_cells ?comp_max_states
+    ?(comp_cache = true) ?comp_memos ?comp_spill_dir query db route =
   let brute () =
     Trace.with_span "count_comp.completion_dedup" (fun () ->
         match query with
@@ -462,12 +437,6 @@ let run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
     ( Uniform_unary,
       Trace.with_span "count_comp.uniform_unary" (fun () ->
           uniform_unary ?query db) )
-  | R_enum universe ->
-    ( Candidate_enumeration,
-      Trace.with_span "count_comp.candidate_enumeration" (fun () ->
-          Comp_candidates.count
-            ?query:(Option.map (fun q -> Query.Bcq q) query)
-            ?max_candidates ~jobs ?mask ~universe db) )
   | R_elim plan -> (
     match
       Trace.with_span "count_comp.lineage_elimination" (fun () ->
@@ -480,33 +449,29 @@ let run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
       (Brute_force, brute ()))
   | R_brute -> (Brute_force, brute ())
 
-let count ?brute_limit ?max_candidates ?(jobs = 1) ?mask
-    ?(comp_elim = Comp_kernel.Auto) ?comp_width_bound ?comp_max_cells
-    ?comp_max_states ?comp_cache ?comp_memos ?comp_spill_dir q db =
+let count ?brute_limit ?(jobs = 1) ?(comp_elim = Comp_kernel.Auto)
+    ?comp_width_bound ?comp_max_cells ?comp_max_states ?comp_cache ?comp_memos
+    ?comp_spill_dir q db =
   Trace.with_span "count_comp.count" (fun () ->
-      let route =
-        dispatch_route ?max_candidates ~comp_elim ?comp_width_bound (Some q) db
-      in
+      let route = dispatch_route ~comp_elim ?comp_width_bound (Some q) db in
       let algo, n =
-        run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
-          ?comp_max_cells ?comp_max_states ?comp_cache ?comp_memos
-          ?comp_spill_dir (Some q) db route
+        run_route ?brute_limit ~jobs ~comp_elim ?comp_max_cells
+          ?comp_max_states ?comp_cache ?comp_memos ?comp_spill_dir (Some q) db
+          route
       in
       Log.debugf "count_comp: %s -> %s" (Cq.to_string q)
         (algorithm_to_string algo);
       (algo, n))
 
-let count_all ?brute_limit ?max_candidates ?(jobs = 1) ?mask
-    ?(comp_elim = Comp_kernel.Auto) ?comp_width_bound ?comp_max_cells
-    ?comp_max_states ?comp_cache ?comp_memos ?comp_spill_dir db =
+let count_all ?brute_limit ?(jobs = 1) ?(comp_elim = Comp_kernel.Auto)
+    ?comp_width_bound ?comp_max_cells ?comp_max_states ?comp_cache ?comp_memos
+    ?comp_spill_dir db =
   Trace.with_span "count_comp.count" (fun () ->
-      let route =
-        dispatch_route ?max_candidates ~comp_elim ?comp_width_bound None db
-      in
+      let route = dispatch_route ~comp_elim ?comp_width_bound None db in
       let algo, n =
-        run_route ?brute_limit ?max_candidates ~jobs ?mask ~comp_elim
-          ?comp_max_cells ?comp_max_states ?comp_cache ?comp_memos
-          ?comp_spill_dir None db route
+        run_route ?brute_limit ~jobs ~comp_elim ?comp_max_cells
+          ?comp_max_states ?comp_cache ?comp_memos ?comp_spill_dir None db
+          route
       in
       Log.debugf "count_comp: <all completions> -> %s"
         (algorithm_to_string algo);

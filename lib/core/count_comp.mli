@@ -27,12 +27,11 @@ open Incdb_incomplete
 type algorithm =
   | Uniform_unary  (** Theorem 4.6 completion-shape enumeration *)
   | Candidate_enumeration
-      (** Proposition B.1 candidate-space enumeration (Codd tables with a
-          small ground-fact universe); see {!Comp_candidates} *)
+      (** Never returned; kept because [e2ebench/layers.ml] names it. *)
   | Lineage_elimination
-      (** Counting by DP over the candidate-fact interaction graph —
-          Codd tables past the enumeration cap and (via shared-null
-          conditioning) non-Codd tables; see {!Comp_kernel} *)
+      (** Counting by DP over the candidate-fact interaction graph — Codd
+          tables and (via shared-null conditioning) non-Codd tables; see
+          {!Comp_kernel} *)
   | Brute_force
 
 val algorithm_to_string : algorithm -> string
@@ -56,45 +55,36 @@ val uniform_unary : ?query:Cq.t -> Idb.t -> Nat.t
 val uniform_symbolic :
   ?query:Cq.t -> Incdb_incomplete.Idb.fact list -> domain_size:int -> Nat.t
 
-(** [count ?brute_limit ?max_candidates ?jobs q db] dispatches: the
-    Theorem 4.6 algorithm when it applies; otherwise, for a Codd table
-    whose candidate universe fits within [max_candidates] (default
-    {!Comp_candidates.default_max_candidates}; probed with an early-exit
-    grounding, and the probed universe is reused by the counting call),
-    the {!Comp_candidates} bitset kernel; then — Codd or not — the
+(** [count ?brute_limit ?jobs q db] dispatches: the Theorem 4.6
+    algorithm when it applies; otherwise — Codd or not — the
     {!Comp_kernel} elimination arm whenever it can compile a plan;
     brute-force enumeration as the last resort.  [jobs] (default 1:
     sequential; 0: auto-detect) shards the brute-force completion dedup
-    — or the enumerator's mask space — across domains; totals are
-    bit-identical at any job count (the elimination DP is sequential).
-    [mask] (default [Auto]) picks the enumerator's mask representation:
-    single-word up to [Lineage.max_universe] candidates, multi-word
-    beyond (see {!Comp_candidates.mask_choice}).
+    across domains; totals are bit-identical at any job count (the
+    elimination DP is sequential).
 
     The elimination arm is steered by [comp_elim] (default
-    [Comp_kernel.Auto]): [Off] restores the pre-kernel policy, [Force]
-    requires the kernel — overriding every other arm, the Theorem 4.6
-    closed form included — and raises {!Comp_kernel.Infeasible} when it
-    declines; under [Auto] a mid-run [Too_many_states] falls back to
-    brute force.  [comp_width_bound] caps the sweep's open fact windows
-    (plan-time, typed failure), [comp_max_cells] bounds the in-memory
-    bag-boundary message before counts spill to disk under
-    [comp_spill_dir], [comp_max_states] bounds the DP frontier,
-    [comp_cache] (default [true]) toggles the kernel's antichain
-    transform memos, and [comp_memos] backs those memos with a
-    caller-owned bundle surviving the call (see
-    {!Comp_kernel.type-memos} — the incdbd warm-reuse hook; the bundle
-    self-clears on a plan change, so passing one is always sound) —
-    none of them change any count.
+    [Comp_kernel.Auto]): [Off] keeps the closed form and sends every
+    other instance to brute force, [Force] requires the kernel —
+    overriding every other arm, the Theorem 4.6 closed form included —
+    and raises {!Comp_kernel.Infeasible} when it declines; under [Auto] a
+    mid-run [Too_many_states] falls back to brute force.
+    [comp_width_bound] caps the sweep's open fact windows (plan-time,
+    typed failure), [comp_max_cells] bounds the in-memory bag-boundary
+    message before counts spill to disk under [comp_spill_dir],
+    [comp_max_states] bounds the DP frontier, [comp_cache] (default
+    [true]) toggles the kernel's antichain transform memos, and
+    [comp_memos] backs those memos with a caller-owned bundle surviving
+    the call (see {!Comp_kernel.type-memos} — the incdbd warm-reuse hook;
+    the bundle self-clears on a plan change, so passing one is always
+    sound) — none of them change any count.
     @raise Idb.Too_many_valuations if enumeration is needed but the
     instance exceeds [brute_limit] valuations.
     @raise Comp_kernel.Infeasible under [comp_elim = Force] when the
     kernel declines the instance. *)
 val count :
   ?brute_limit:int ->
-  ?max_candidates:int ->
   ?jobs:int ->
-  ?mask:Comp_candidates.mask_choice ->
   ?comp_elim:Comp_kernel.choice ->
   ?comp_width_bound:int ->
   ?comp_max_cells:int ->
@@ -106,13 +96,11 @@ val count :
   Idb.t ->
   algorithm * Nat.t
 
-(** [count_all ?brute_limit ?max_candidates ?jobs ?mask db] counts all
-    completions (no query); same dispatch and options as {!count}. *)
+(** [count_all ?brute_limit ?jobs db] counts all completions (no query);
+    same dispatch and options as {!count}. *)
 val count_all :
   ?brute_limit:int ->
-  ?max_candidates:int ->
   ?jobs:int ->
-  ?mask:Comp_candidates.mask_choice ->
   ?comp_elim:Comp_kernel.choice ->
   ?comp_width_bound:int ->
   ?comp_max_cells:int ->

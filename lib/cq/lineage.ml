@@ -1,153 +1,47 @@
 open Incdb_relational
 
-let max_universe = Sys.int_size - 1
+module B = Incdb_bignum.Bitset
 
-exception Too_many_clauses of { clauses : int; limit : int }
-
-let () =
-  Printexc.register_printer (function
-    | Too_many_clauses { clauses; limit } ->
-      Some
-        (Printf.sprintf "Lineage.Too_many_clauses(clauses %d, limit %d)" clauses
-           limit)
-    | _ -> None)
-
-type t = { clauses : int array; negated : bool }
-
-let clause_count l = Array.length l.clauses
-let is_negated l = l.negated
-let clauses l = l.clauses
-
-let popcount mask =
-  let rec pop m acc = if m = 0 then acc else pop (m land (m - 1)) (acc + 1) in
-  pop mask 0
-
-(* Keep only the minimal clauses of a deduplicated DNF: a clause subsumed
-   by a strict subset is redundant (the subset fires first).  Sorting by
-   popcount lets the filter compare each clause only against already-kept
-   smaller ones. *)
-let minimal clauses =
-  let sorted =
-    List.sort_uniq compare clauses
-    |> List.map (fun c -> (popcount c, c))
-    |> List.sort compare
-  in
-  let kept = ref [] in
-  List.iter
-    (fun (_, c) ->
-      if not (List.exists (fun c' -> c' land c = c') !kept) then
-        kept := c :: !kept)
-    sorted;
-  Array.of_list (List.rev !kept)
-
-let index_universe universe =
-  let idx : (Cdb.fact, int) Hashtbl.t =
-    Hashtbl.create (2 * Array.length universe)
-  in
-  Array.iteri (fun i g -> Hashtbl.replace idx g i) universe;
-  idx
-
-(* Clauses of one BCQ disjunct: every homomorphism into the universe
-   leaves a footprint (the set of image facts); a sub-database satisfies
-   the disjunct iff it contains some footprint. *)
-let cq_clauses ?(neqs = []) idx universe cq =
-  let cdb = Cdb.of_list (Array.to_list universe) in
-  let image h (a : Cq.atom) =
-    Cdb.fact a.Cq.rel (List.map (fun v -> List.assoc v h) (Array.to_list a.Cq.vars))
-  in
-  Cq.homomorphisms cq cdb
-  |> List.filter_map (fun h ->
-         if
-           List.for_all
-             (fun (x, y) -> List.assoc_opt x h <> List.assoc_opt y h)
-             neqs
-         then
-           Some
-             (List.fold_left
-                (fun m a -> m lor (1 lsl Hashtbl.find idx (image h a)))
-                0 cq)
-         else None)
-
-let compile q universe =
-  if Array.length universe > max_universe then None
-  else begin
-    let idx = index_universe universe in
-    let rec go negated = function
-      | Query.Bcq cq -> Some (cq_clauses idx universe cq, negated)
-      | Query.Bcq_neq (cq, neqs) -> Some (cq_clauses ~neqs idx universe cq, negated)
-      | Query.Union cqs ->
-        Some (List.concat_map (cq_clauses idx universe) cqs, negated)
-      | Query.Not q -> go (not negated) q
-      | Query.Semantic _ -> None
-    in
-    Option.map
-      (fun (clauses, negated) -> { clauses = minimal clauses; negated })
-      (go false q)
-  end
-
-let dnf_sat clauses mask =
-  let n = Array.length clauses in
-  let rec go i =
-    if i = n then false
-    else
-      let c = Array.unsafe_get clauses i in
-      c land mask = c || go (i + 1)
-  in
-  go 0
-
-let sat l mask = dnf_sat l.clauses mask <> l.negated
-
-(* ------------------------------------------------------------------ *)
-(* The same compiler over an abstract mask representation              *)
-(* ------------------------------------------------------------------ *)
-
-module type MASKED = sig
-  type mask
-  type lineage
-
-  val clause_count : lineage -> int
-  val is_negated : lineage -> bool
-  val clauses : lineage -> mask array
-  val compile : Query.t -> Cdb.fact array -> lineage option
-  val sat : lineage -> mask -> bool
-  val dnf_sat : mask array -> mask -> bool
-  val fixed_masks : width:int -> (int * int) array array -> mask array
-end
-
-module Make (M : Incdb_bignum.Bitset.MASK) = struct
-  type mask = M.t
-  type lineage = { clauses : mask array; negated : bool }
+module Wide = struct
+  type t = { clauses : B.t array; negated : bool }
 
   let clause_count l = Array.length l.clauses
   let is_negated l = l.negated
   let clauses l = l.clauses
 
-  (* Mirrors the single-word {!minimal} above, with the implicit int
-     orderings spelled out: dedup by mask order, then sort by
-     (popcount, mask) so the subsumption filter only compares against
-     already-kept smaller clauses. *)
+  (* Keep only the minimal clauses of a deduplicated DNF: a clause subsumed
+     by a strict subset is redundant (the subset fires first).  Sorting by
+     (popcount, mask) lets the filter compare each clause only against
+     already-kept smaller ones. *)
   let minimal clauses =
     let sorted =
-      List.sort_uniq M.compare clauses
-      |> List.map (fun c -> (M.popcount c, c))
+      List.sort_uniq B.compare clauses
+      |> List.map (fun c -> (B.popcount c, c))
       |> List.sort (fun (pa, a) (pb, b) ->
-             match Stdlib.Int.compare pa pb with
-             | 0 -> M.compare a b
-             | c -> c)
+             match Int.compare pa pb with 0 -> B.compare a b | c -> c)
     in
     let kept = ref [] in
     List.iter
       (fun (_, c) ->
-        if not (List.exists (fun c' -> M.subset c' c) !kept) then
+        if not (List.exists (fun c' -> B.subset c' c) !kept) then
           kept := c :: !kept)
       sorted;
     Array.of_list (List.rev !kept)
 
+  let index_universe universe =
+    let idx : (Cdb.fact, int) Hashtbl.t =
+      Hashtbl.create (2 * Array.length universe)
+    in
+    Array.iteri (fun i g -> Hashtbl.replace idx g i) universe;
+    idx
+
+  (* Clauses of one BCQ disjunct: every homomorphism into the universe
+     leaves a footprint (the set of image facts); a sub-database satisfies
+     the disjunct iff it contains some footprint. *)
   let cq_clauses ?(neqs = []) ~width idx universe cq =
     let cdb = Cdb.of_list (Array.to_list universe) in
     let image h (a : Cq.atom) =
-      Cdb.fact a.Cq.rel
-        (List.map (fun v -> List.assoc v h) (Array.to_list a.Cq.vars))
+      Cdb.fact a.Cq.rel (List.map (fun v -> List.assoc v h) (Array.to_list a.Cq.vars))
     in
     Cq.homomorphisms cq cdb
     |> List.filter_map (fun h ->
@@ -158,85 +52,32 @@ module Make (M : Incdb_bignum.Bitset.MASK) = struct
            then
              Some
                (List.fold_left
-                  (fun m a -> M.set m (Hashtbl.find idx (image h a)))
-                  (M.zero ~width) cq)
+                  (fun m a -> B.set m (Hashtbl.find idx (image h a)))
+                  (B.zero ~width) cq)
            else None)
 
   let compile q universe =
     let width = Array.length universe in
-    if width > M.max_width then None
-    else begin
-      let idx = index_universe universe in
-      let rec go negated = function
-        | Query.Bcq cq -> Some (cq_clauses ~width idx universe cq, negated)
-        | Query.Bcq_neq (cq, neqs) ->
-          Some (cq_clauses ~neqs ~width idx universe cq, negated)
-        | Query.Union cqs ->
-          Some (List.concat_map (cq_clauses ~width idx universe) cqs, negated)
-        | Query.Not q -> go (not negated) q
-        | Query.Semantic _ -> None
-      in
-      Option.map
-        (fun (clauses, negated) -> { clauses = minimal clauses; negated })
-        (go false q)
-    end
-
-  let dnf_sat clauses mask =
-    let n = Array.length clauses in
-    let rec go i =
-      if i = n then false
-      else M.subset (Array.unsafe_get clauses i) mask || go (i + 1)
+    let idx = index_universe universe in
+    let rec go negated = function
+      | Query.Bcq cq -> Some (cq_clauses ~width idx universe cq, negated)
+      | Query.Bcq_neq (cq, neqs) ->
+        Some (cq_clauses ~neqs ~width idx universe cq, negated)
+      | Query.Union cqs ->
+        Some (List.concat_map (cq_clauses ~width idx universe) cqs, negated)
+      | Query.Not q -> go (not negated) q
+      | Query.Semantic _ -> None
     in
-    go 0
+    Option.map
+      (fun (clauses, negated) -> { clauses = minimal clauses; negated })
+      (go false q)
 
-  let sat l mask = dnf_sat l.clauses mask <> l.negated
-
-  let fixed_masks ~width fixes =
-    Array.map
-      (fun assigns ->
-        Array.fold_left (fun m (slot, _) -> M.set m slot) (M.zero ~width) assigns)
-      fixes
+  let sat l mask = Array.exists (fun c -> B.subset c mask) l.clauses <> l.negated
 end
-
-module Wide = Make (Incdb_bignum.Bitset.Wide)
 
 (* ------------------------------------------------------------------ *)
 (* Slot-assignment clauses (the valuation-space face of the same idea) *)
 (* ------------------------------------------------------------------ *)
-
-let fixed_masks fixes =
-  Array.map
-    (fun assigns ->
-      Array.fold_left (fun m (slot, _) -> m lor (1 lsl slot)) 0 assigns)
-    fixes
-
-let compatible a b =
-  (* Both sorted by slot: one linear merge pass. *)
-  let la = Array.length a and lb = Array.length b in
-  let rec go i j =
-    if i = la || j = lb then true
-    else
-      let sa, va = a.(i) and sb, vb = b.(j) in
-      if sa < sb then go (i + 1) j
-      else if sa > sb then go i (j + 1)
-      else va = vb && go (i + 1) (j + 1)
-  in
-  go 0 0
-
-let conflict_masks fixes =
-  let n = Array.length fixes in
-  if n > max_universe then
-    raise (Too_many_clauses { clauses = n; limit = max_universe });
-  let conflicts = Array.make n 0 in
-  for i = 0 to n - 1 do
-    for j = 0 to i - 1 do
-      if not (compatible fixes.(i) fixes.(j)) then begin
-        conflicts.(i) <- conflicts.(i) lor (1 lsl j);
-        conflicts.(j) <- conflicts.(j) lor (1 lsl i)
-      end
-    done
-  done;
-  conflicts
 
 (* [a] subsumes [b] when every (slot, value) pair of [a] appears in [b]:
    any assignment matching [b] then matches [a], so [b] is redundant in a

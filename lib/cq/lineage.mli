@@ -6,62 +6,49 @@
     finite universe [U] of ground facts, the {e lineage} of [q] over [U]
     is the DNF whose clauses are the footprints of the homomorphisms of
     [q] into [U]: a sub-database [S ⊆ U] satisfies [q] iff [S] contains
-    some footprint.  With [|U| <= Sys.int_size - 1], every clause — and
-    every candidate [S] — is a single OCaml int, and query evaluation
-    inside an enumeration over subsets of [U] becomes "some clause mask
-    is a subset of the candidate mask": pure word operations, no
-    allocation.  This is the evaluation kernel behind
-    [Comp_candidates.count]'s candidate-space enumeration.
+    some footprint.  With clauses and candidate sub-databases as
+    bitsets over [U], query evaluation becomes "some clause mask is a
+    subset of the candidate mask".  This is how [Comp_kernel] reads a
+    query: it sweeps the clause windows of the compiled DNF.
 
     The module lives in [incdb_cq] (not [incdb_core]) because the
-    compiler only needs [Query] and [Cdb], and the approximation layer
-    ([Karp_luby]) sits below [incdb_core] in the dependency order yet
-    reuses the slot-assignment helpers for its event compilation. *)
+    compiler only needs [Query] and [Cdb], and the slot-assignment
+    clauses it works on are produced by the approximation layer
+    ([Karp_luby.encode_fixes]), which sits below [incdb_core] in the
+    dependency order. *)
 
 open Incdb_relational
 
-(** Largest universe a single-word clause mask can represent
-    ([Sys.int_size - 1]); the {!Wide} instantiation has no such bound. *)
-val max_universe : int
+(** The bitmask DNF of a query over a fixed ground-fact universe: a
+    clause, and a sub-database of the universe, is a {!Incdb_bignum.Bitset}
+    over the universe's indices (fact [i] is bit [i]). *)
+module Wide : sig
+  (** A compiled lineage: minimal DNF clauses over fact-id bits, with an
+      outer negation flag (so [Not q] compiles when [q] does). *)
+  type t
 
-(** Raised by {!conflict_masks} when the clause set exceeds one mask
-    word; carries the actual clause count, mirroring the other typed
-    limits ([Too_many_valuations]/[Too_many_candidates]) so the CLI can
-    report it uniformly. *)
-exception Too_many_clauses of { clauses : int; limit : int }
+  (** Number of (minimal, deduplicated) clauses. *)
+  val clause_count : t -> int
 
-(** A compiled lineage: minimal DNF clauses over fact-id bits, with an
-    outer negation flag (so [Not q] compiles when [q] does). *)
-type t
+  (** Whether the compiled query is evaluated as the negation of the DNF. *)
+  val is_negated : t -> bool
 
-(** Number of (minimal, deduplicated) clauses. *)
-val clause_count : t -> int
+  (** The minimal clause masks, ordered by (popcount, mask) (do not
+      mutate). *)
+  val clauses : t -> Incdb_bignum.Bitset.t array
 
-(** Whether the compiled query is evaluated as the negation of the DNF. *)
-val is_negated : t -> bool
+  (** [compile q universe] compiles [q]'s satisfaction over sub-databases
+      of [universe].  [None] on opaque [Semantic] queries; [Not] recurses
+      with the negation flag flipped, so any (iterated) negation of a
+      compilable query compiles. *)
+  val compile : Query.t -> Cdb.fact array -> t option
 
-(** The minimal clause masks themselves, for enumerators that maintain
-    per-clause state incrementally (do not mutate). *)
-val clauses : t -> int array
-
-(** [compile q universe] compiles [q]'s satisfaction over sub-databases
-    of [universe].  Returns [None] when the query cannot be compiled to a
-    mask DNF: opaque [Semantic] queries, or a universe too large for one
-    machine word.  [Not] recurses with the negation flag flipped, so any
-    (iterated) negation of a compilable query compiles. *)
-val compile : Query.t -> Cdb.fact array -> t option
-
-(** [sat l mask] decides whether the sub-database of the universe selected
-    by [mask] satisfies the compiled query.  Semantically equal to
-    [Query.eval q (facts selected by mask)] — property-tested against it. *)
-val sat : t -> int -> bool
-
-(** [dnf_sat clauses mask] is the positive-DNF core of {!sat}: some clause
-    is a subset of [mask]. *)
-val dnf_sat : int array -> int -> bool
-
-(** Number of set bits. *)
-val popcount : int -> int
+  (** [sat l mask] decides whether the sub-database of the universe
+      selected by [mask] satisfies the compiled query.  Semantically
+      equal to [Query.eval q (facts selected by mask)] — property-tested
+      against it. *)
+  val sat : t -> Incdb_bignum.Bitset.t -> bool
+end
 
 (** {2 Slot-assignment clauses}
 
@@ -69,22 +56,8 @@ val popcount : int -> int
     values for a set of {e slots} (null indices), given as an array of
     [(slot, value)] pairs sorted by slot.  [Karp_luby] compiles its
     union-of-events representation this way — one clause per match
-    candidate — so the per-sample coverage test and the
-    inclusion–exclusion subset merge run on ints instead of re-matching
-    association lists. *)
-
-(** Per-clause bitmask of the slots it fixes. *)
-val fixed_masks : (int * int) array array -> int array
-
-(** [compatible a b]: no slot assigned different values (both sorted). *)
-val compatible : (int * int) array -> (int * int) array -> bool
-
-(** [conflict_masks fixes]: for each clause, the bitmask of clauses it
-    conflicts with (some shared slot assigned differently).  A set of
-    clauses is jointly mergeable iff it is pairwise conflict-free, which
-    makes subset validity an incremental one-word test.
-    @raise Too_many_clauses with more than {!max_universe} clauses. *)
-val conflict_masks : (int * int) array array -> int array
+    candidate — and [Val_kernel] conditions and canonicalizes those
+    clauses during variable elimination. *)
 
 (** [fixes_subset a b]: every pair of [a] occurs in [b] (both sorted by
     slot).  In a disjunction of slot clauses, [a] then subsumes [b]. *)
@@ -92,7 +65,7 @@ val fixes_subset : (int * int) array -> (int * int) array -> bool
 
 (** Minimal, deduplicated form of a disjunction of slot clauses: clauses
     subsumed by a (sub)clause are dropped — the slot-assignment analogue
-    of the bitmask {!clauses} minimization.  An empty clause (matches
+    of the bitmask {!Wide.clauses} minimization.  An empty clause (matches
     everything) collapses the result to [[| [||] |]]. *)
 val minimal_fixes : (int * int) array array -> (int * int) array array
 
@@ -128,36 +101,3 @@ val canonical_fixes :
   (int * int) array array ->
   dom:(int -> int) ->
   (int * int) array array * int array
-
-(** {2 Mask-generic compilation}
-
-    The same compiler over an abstract {!Incdb_bignum.Bitset.MASK}
-    representation.  [Make (Bitset.Int)] is semantically the single-word
-    compiler above (which stays in its direct int form as the fast
-    path); {!Wide} lifts the universe ceiling past [max_universe] with
-    multi-word masks.  Clause order, subsumption minimization, and
-    satisfaction are identical across instantiations — the enumerator
-    agreement tests check counts {e and} metrics bit-for-bit. *)
-
-module type MASKED = sig
-  type mask
-  type lineage
-
-  val clause_count : lineage -> int
-  val is_negated : lineage -> bool
-  val clauses : lineage -> mask array
-
-  (** Like the single-word [compile]: [None] on [Semantic] queries or a
-      universe beyond the representation ([Wide] never hits that). *)
-  val compile : Query.t -> Cdb.fact array -> lineage option
-
-  val sat : lineage -> mask -> bool
-  val dnf_sat : mask array -> mask -> bool
-
-  (** Per-clause mask of fixed slots, over [width] slots — the
-      mask-generic {!fixed_masks}. *)
-  val fixed_masks : width:int -> (int * int) array array -> mask array
-end
-
-module Make (M : Incdb_bignum.Bitset.MASK) : MASKED with type mask = M.t
-module Wide : MASKED with type mask = Incdb_bignum.Bitset.Wide.t

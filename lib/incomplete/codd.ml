@@ -53,270 +53,6 @@ let is_completion db s =
   let size, _ = Matching.maximum_matching b in
   size = ns
 
-(* ------------------------------------------------------------------ *)
-(* Bitset completion kernel (the mask form of the Lemma B.2 test)      *)
-(* ------------------------------------------------------------------ *)
-
-type kernel = {
-  masks : int array; (* per table fact: bitmask of its ground image in U *)
-  producers : int array array; (* per universe bit: table facts producing it *)
-  nd : int;
-  (* Kuhn matching scratch, reused across calls (one kernel per domain). *)
-  matched_bit : int array; (* per table fact: universe bit held, or -1 *)
-  visit : int array; (* per table fact: stamp of the last augmenting pass *)
-  touched : int array; (* facts assigned during the current call *)
-  mutable ntouched : int;
-  mutable clock : int;
-}
-
-let kernel db ~universe =
-  if not (Idb.is_codd db) then invalid_arg "Codd.kernel: requires a Codd table";
-  let m = Array.length universe in
-  if m > Sys.int_size - 1 then
-    invalid_arg "Codd.kernel: universe too large for one mask word";
-  let dfacts = Array.of_list (Idb.facts db) in
-  let nd = Array.length dfacts in
-  let masks =
-    Array.map
-      (fun f ->
-        let mask = ref 0 in
-        Array.iteri
-          (fun j g -> if fact_can_produce db f g then mask := !mask lor (1 lsl j))
-          universe;
-        !mask)
-      dfacts
-  in
-  let producers =
-    Array.init m (fun j ->
-        let fs = ref [] in
-        for i = nd - 1 downto 0 do
-          if masks.(i) land (1 lsl j) <> 0 then fs := i :: !fs
-        done;
-        Array.of_list !fs)
-  in
-  {
-    masks;
-    producers;
-    nd;
-    matched_bit = Array.make nd (-1);
-    visit = Array.make nd (-1);
-    touched = Array.make nd 0;
-    ntouched = 0;
-    clock = 0;
-  }
-
-let kernel_masks k = k.masks
-let kernel_size k = k.nd
-
-(* Fresh matching scratch over the shared immutable precomputation, so
-   sharded enumerations get one kernel per domain without re-deriving the
-   ground-image masks. *)
-let kernel_copy k =
-  {
-    k with
-    matched_bit = Array.make k.nd (-1);
-    visit = Array.make k.nd (-1);
-    touched = Array.make k.nd 0;
-    ntouched = 0;
-    clock = 0;
-  }
-
-(* Kuhn's algorithm from the S side: every set bit of [mask] needs a
-   distinct producing table fact.  Matching state is reset by undoing only
-   the facts touched in this call, so a failed check costs what it
-   explored, not O(nd). *)
-let kernel_saturates k mask =
-  let rec augment j =
-    let ps = k.producers.(j) in
-    let n = Array.length ps in
-    let rec go i =
-      if i = n then false
-      else begin
-        let f = Array.unsafe_get ps i in
-        if k.visit.(f) = k.clock then go (i + 1)
-        else begin
-          k.visit.(f) <- k.clock;
-          let prev = k.matched_bit.(f) in
-          if prev = -1 || augment prev then begin
-            if prev = -1 then begin
-              k.touched.(k.ntouched) <- f;
-              k.ntouched <- k.ntouched + 1
-            end;
-            k.matched_bit.(f) <- j;
-            true
-          end
-          else go (i + 1)
-        end
-      end
-    in
-    go 0
-  in
-  let ok = ref true in
-  let rest = ref mask in
-  while !ok && !rest <> 0 do
-    let j =
-      (* index of the lowest set bit *)
-      let b = !rest land - !rest in
-      let rec log2 b acc = if b = 1 then acc else log2 (b lsr 1) (acc + 1) in
-      log2 b 0
-    in
-    rest := !rest land (!rest - 1);
-    k.clock <- k.clock + 1;
-    if not (augment j) then ok := false
-  done;
-  for i = 0 to k.ntouched - 1 do
-    k.matched_bit.(k.touched.(i)) <- -1
-  done;
-  k.ntouched <- 0;
-  !ok
-
-let kernel_is_completion k mask =
-  (* Star check: every table fact must land somewhere inside the set. *)
-  let rec star i =
-    i = k.nd || (Array.unsafe_get k.masks i land mask <> 0 && star (i + 1))
-  in
-  star 0
-  && (let rec pop m acc = if m = 0 then acc else pop (m land (m - 1)) (acc + 1) in
-      pop mask 0 <= k.nd)
-  && kernel_saturates k mask
-
-(* ------------------------------------------------------------------ *)
-(* The same kernel over an abstract mask representation                *)
-(* ------------------------------------------------------------------ *)
-
-module type KERNEL = sig
-  type mask
-  type t
-
-  val make : Idb.t -> universe:Cdb.fact array -> t
-  val masks : t -> mask array
-  val size : t -> int
-  val copy : t -> t
-  val saturates : t -> mask -> bool
-  val is_completion : t -> mask -> bool
-end
-
-module Kernel (M : Incdb_bignum.Bitset.MASK) = struct
-  type mask = M.t
-
-  type t = {
-    masks : M.t array;
-    producers : int array array;
-    nd : int;
-    matched_bit : int array;
-    visit : int array;
-    touched : int array;
-    mutable ntouched : int;
-    mutable clock : int;
-  }
-
-  let make db ~universe =
-    if not (Idb.is_codd db) then
-      invalid_arg "Codd.Kernel.make: requires a Codd table";
-    let m = Array.length universe in
-    if m > M.max_width then
-      invalid_arg "Codd.Kernel.make: universe too large for this mask type";
-    let dfacts = Array.of_list (Idb.facts db) in
-    let nd = Array.length dfacts in
-    let masks =
-      Array.map
-        (fun f ->
-          let mask = ref (M.zero ~width:m) in
-          Array.iteri
-            (fun j g -> if fact_can_produce db f g then mask := M.set !mask j)
-            universe;
-          !mask)
-        dfacts
-    in
-    let producers =
-      Array.init m (fun j ->
-          let fs = ref [] in
-          for i = nd - 1 downto 0 do
-            if M.test masks.(i) j then fs := i :: !fs
-          done;
-          Array.of_list !fs)
-    in
-    {
-      masks;
-      producers;
-      nd;
-      matched_bit = Array.make nd (-1);
-      visit = Array.make nd (-1);
-      touched = Array.make nd 0;
-      ntouched = 0;
-      clock = 0;
-    }
-
-  let masks k = k.masks
-  let size k = k.nd
-
-  let copy k =
-    {
-      k with
-      matched_bit = Array.make k.nd (-1);
-      visit = Array.make k.nd (-1);
-      touched = Array.make k.nd 0;
-      ntouched = 0;
-      clock = 0;
-    }
-
-  exception Unsaturated
-
-  (* Kuhn from the S side, identical to {!kernel_saturates}: the bits of
-     [mask] are tried in ascending order ([M.iter]), and a failed
-     augmenting pass aborts the whole check. *)
-  let saturates k mask =
-    let rec augment j =
-      let ps = k.producers.(j) in
-      let n = Array.length ps in
-      let rec go i =
-        if i = n then false
-        else begin
-          let f = Array.unsafe_get ps i in
-          if k.visit.(f) = k.clock then go (i + 1)
-          else begin
-            k.visit.(f) <- k.clock;
-            let prev = k.matched_bit.(f) in
-            if prev = -1 || augment prev then begin
-              if prev = -1 then begin
-                k.touched.(k.ntouched) <- f;
-                k.ntouched <- k.ntouched + 1
-              end;
-              k.matched_bit.(f) <- j;
-              true
-            end
-            else go (i + 1)
-          end
-        end
-      in
-      go 0
-    in
-    let ok =
-      match
-        M.iter
-          (fun j ->
-            k.clock <- k.clock + 1;
-            if not (augment j) then raise Unsaturated)
-          mask
-      with
-      | () -> true
-      | exception Unsaturated -> false
-    in
-    for i = 0 to k.ntouched - 1 do
-      k.matched_bit.(k.touched.(i)) <- -1
-    done;
-    k.ntouched <- 0;
-    ok
-
-  let is_completion k mask =
-    let rec star i =
-      i = k.nd || ((not (M.disjoint (Array.unsafe_get k.masks i) mask)) && star (i + 1))
-    in
-    star 0 && M.popcount mask <= k.nd && saturates k mask
-end
-
-module Wide = Kernel (Incdb_bignum.Bitset.Wide)
-
 let is_completion_naive db s =
   let sfacts = Array.of_list (Cdb.to_list s) in
   let nulls = Array.of_list (Idb.nulls db) in

@@ -20,75 +20,6 @@ val fact_can_produce : Idb.t -> Idb.fact -> Cdb.fact -> bool
     Proposition 5.2 for why naïve tables resist this approach). *)
 val is_completion : Idb.t -> Cdb.t -> bool
 
-(** {2 Bitset completion kernel}
-
-    The mask form of the same Lemma B.2 test, for enumerations over a
-    fixed ground-fact universe [U] (Proposition B.1's candidate space):
-    candidate sets are bitmasks over [U], the per-fact realizability
-    ("star") check is one [land] per table fact against its precomputed
-    ground-image mask, and the saturating-matching check runs Kuhn's
-    algorithm over precomputed producer lists with reusable scratch
-    state — no per-candidate allocation.  One {!kernel} value holds
-    mutable matching scratch: build one per domain when sharding. *)
-
-type kernel
-
-(** [kernel db ~universe] precomputes the ground-image masks and producer
-    lists of the facts of [db] over [universe] (the bit of a universe
-    fact is its array index).
-    @raise Invalid_argument if [db] is not Codd or [universe] exceeds one
-    mask word ([Sys.int_size - 1] facts). *)
-val kernel : Idb.t -> universe:Cdb.fact array -> kernel
-
-(** Per table fact (in [Idb.facts] order), the bitmask of the universe
-    facts it can produce. *)
-val kernel_masks : kernel -> int array
-
-(** Number of table facts. *)
-val kernel_size : kernel -> int
-
-(** A kernel sharing the immutable precomputation but with fresh matching
-    scratch — one per worker domain when sharding an enumeration. *)
-val kernel_copy : kernel -> kernel
-
-(** [kernel_is_completion k mask] decides whether the sub-universe
-    selected by [mask] is a completion: the star check, a cardinality
-    bound, then {!kernel_saturates}.  Agrees with {!is_completion} on the
-    materialized set (property-tested). *)
-val kernel_is_completion : kernel -> int -> bool
-
-(** The matching half alone: every set bit of [mask] matched to a
-    distinct producing table fact.  For callers (the candidate kernel)
-    whose enumeration already maintains the star check incrementally. *)
-val kernel_saturates : kernel -> int -> bool
-
-(** {2 Mask-generic kernel}
-
-    The same kernel over an abstract {!Incdb_bignum.Bitset.MASK}
-    representation.  [Kernel (Bitset.Int)] is semantically the direct
-    int kernel above (which stays as the fast path — its masks are
-    unboxed); {!Wide} lifts the universe ceiling past one word.
-    Matching order and scratch discipline are identical, so the two
-    agree bit-for-bit wherever both apply. *)
-
-module type KERNEL = sig
-  type mask
-  type t
-
-  (** @raise Invalid_argument if the table is not Codd or the universe
-      exceeds the mask representation. *)
-  val make : Idb.t -> universe:Cdb.fact array -> t
-
-  val masks : t -> mask array
-  val size : t -> int
-  val copy : t -> t
-  val saturates : t -> mask -> bool
-  val is_completion : t -> mask -> bool
-end
-
-module Kernel (M : Incdb_bignum.Bitset.MASK) : KERNEL with type mask = M.t
-module Wide : KERNEL with type mask = Incdb_bignum.Bitset.Wide.t
-
 (** [is_completion_naive db s] decides completion membership for
     arbitrary (naïve) tables by backtracking over nulls with forward
     pruning: a partial assignment is abandoned as soon as some table fact

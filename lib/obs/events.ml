@@ -6,17 +6,21 @@
    replayed as a timeline — one lane per domain — in Perfetto or
    chrome://tracing via {!Chrome}.
 
-   Each domain writes into its own fixed-capacity ring buffer, created
-   lazily in domain-local storage on the first event, so recording is
+   Each domain writes into its own fixed-capacity ring buffer, taken
+   lazily into domain-local storage on the first event, so recording is
    lock-free: no atomics beyond the {!Runtime.enabled} gate, no
    contention between pool workers.  The global registry of rings (read
-   by [snapshot], written once per domain per generation) is the only
-   mutex, and it is never taken on the recording path after a domain's
-   first event.  On overflow the ring overwrites its oldest entry —
-   newest events are kept, because the end of a run is where a
-   post-mortem looks first — and every overwrite increments the exact
-   [obs.events_dropped] counter (also available, reset-proof within a
-   generation, as [dropped ()]).
+   by [snapshot], written when a domain takes or returns a ring) is the
+   only mutex, and it is never taken on the recording path after a
+   domain's first event.  A domain that exits returns its ring to a free
+   list and the next domain to record takes it over, events and all: the
+   registry holds one ring per domain live at once, not one per domain
+   ever spawned, and a lane of the timeline is a ring, which short-lived
+   pool workers share one after another.  On overflow the ring
+   overwrites its oldest entry — newest events are kept, because the
+   end of a run is where a post-mortem looks first — and every overwrite
+   increments the exact [obs.events_dropped] counter (also available,
+   reset-proof within a generation, as [dropped ()]).
 
    When observability is disabled every probe is one atomic load and a
    branch, like the rest of Incdb_obs. *)
@@ -50,7 +54,14 @@ let generation = Atomic.make 0
 let registry_lock = Mutex.create ()
 let rings : ring list ref = ref []
 
-let default_capacity = 65_536
+(* Rings of the current generation whose domain has exited: still in
+   [rings] (their events stay exportable), waiting for a new owner. *)
+let free : ring list ref = ref []
+
+(* A full ring holds the heap: in incdbd a retained event costs about
+   0.5 KB (record, args list and the GC's headroom), so a 32 768-slot
+   ring is ~17 MB per domain at steady state. *)
+let default_capacity = 32_768
 let capacity = ref default_capacity
 
 (* Applies to rings created afterwards; call [reset] to retire the
@@ -71,21 +82,41 @@ let () =
 let ring_key : ring option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
+(* Runs when the owning domain exits.  A ring from before a reset is
+   simply dropped. *)
+let release cell =
+  match !cell with
+  | None -> ()
+  | Some r ->
+    cell := None;
+    Mutex.protect registry_lock (fun () ->
+        if r.rgen = Atomic.get generation then free := r :: !free)
+
 let my_ring () =
   let cell = Domain.DLS.get ring_key in
   let gen = Atomic.get generation in
   match !cell with
   | Some r when r.rgen = gen -> r
-  | _ ->
+  | prev ->
     let r =
-      {
-        rdom = (Domain.self () :> int);
-        rgen = gen;
-        buf = Array.make !capacity dummy;
-        wrote = 0;
-      }
+      Mutex.protect registry_lock (fun () ->
+          match !free with
+          | r :: rest when r.rgen = gen ->
+            free := rest;
+            r
+          | _ ->
+            let r =
+              {
+                rdom = (Domain.self () :> int);
+                rgen = gen;
+                buf = Array.make !capacity dummy;
+                wrote = 0;
+              }
+            in
+            rings := r :: !rings;
+            r)
     in
-    Mutex.protect registry_lock (fun () -> rings := r :: !rings);
+    if Option.is_none prev then Domain.at_exit (fun () -> release cell);
     cell := Some r;
     r
 
@@ -124,8 +155,9 @@ let dropped () =
     (fun acc r -> acc + max 0 (r.wrote - Array.length r.buf))
     0 (live_rings ())
 
-(* One (domain id, events oldest-kept-first) lane per domain, sorted by
-   domain id.  Reading a ring another domain is still writing is a
+(* One (domain id, events oldest-kept-first) lane per ring, labelled
+   with the id of the domain that first took the ring, sorted by that
+   id.  Reading a ring another domain is still writing is a
    benign race (slots are whole records, replaced atomically by the
    write barrier-free store); in practice exports run after the pool
    has joined its workers. *)
@@ -144,4 +176,6 @@ let snapshot () =
    lane — the registry itself never corrupts. *)
 let reset () =
   Atomic.incr generation;
-  Mutex.protect registry_lock (fun () -> rings := [])
+  Mutex.protect registry_lock (fun () ->
+      rings := [];
+      free := [])

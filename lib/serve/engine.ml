@@ -3,11 +3,10 @@
 
    Every engine failure a one-shot idbcount turns into a one-line
    message and exit 1 is admission control here: the typed resource
-   limits (Too_many_valuations, Too_many_candidates, Too_many_events,
-   Infeasible, Too_many_clauses) map to structured error responses with
-   a machine-readable [kind], the request is refused, and the server
-   keeps serving.  Nothing in this module exits or lets an exception
-   escape past [handle]. *)
+   limits (Too_many_valuations, Too_many_events, Infeasible) map to
+   structured error responses with a machine-readable [kind], the
+   request is refused, and the server keeps serving.  Nothing in this
+   module exits or lets an exception escape past [handle]. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -90,13 +89,6 @@ let error_response ~id exn =
          "exhaustive enumeration would visit %s valuations (limit %d); raise \
           brute_limit or use approx/bounds"
          (Nat.to_string total) limit)
-  | Comp_candidates.Too_many_candidates { universe; limit } ->
-    refusal "too_many_candidates"
-      ~data:[ ("universe", Json.Int universe); ("limit", Json.Int limit) ]
-      (Printf.sprintf
-         "the candidate universe has %d ground facts (limit %d); raise \
-          max_candidates or use bounds"
-         universe limit)
   | Val_kernel.Too_many_events { events; limit } ->
     refusal "too_many_events"
       ~data:[ ("events", Json.Int events); ("limit", Json.Int limit) ]
@@ -111,13 +103,6 @@ let error_response ~id exn =
       (Printf.sprintf
          "the #Comp elimination kernel declined the instance: %s"
          (Comp_kernel.infeasible_to_string reason))
-  | Lineage.Too_many_clauses { clauses; limit } ->
-    refusal "too_many_clauses"
-      ~data:[ ("clauses", Json.Int clauses); ("limit", Json.Int limit) ]
-      (Printf.sprintf
-         "the compiled lineage has %d clauses, more than one conflict mask \
-          word holds (limit %d)"
-         clauses limit)
   | exn ->
     Metrics.incr errors_total;
     Protocol.err ~id ~kind:"internal_error" (Printexc.to_string exn)
@@ -175,8 +160,7 @@ let run_count state (r : Protocol.t) ~db_key db q =
       in
       let a, n =
         Mutex.protect memo_lock (fun () ->
-            Count_comp.count ~brute_limit:r.brute_limit
-              ~max_candidates:r.max_candidates ~jobs:r.jobs ~mask:r.comp_mask
+            Count_comp.count ~brute_limit:r.brute_limit ~jobs:r.jobs
               ~comp_elim:r.comp_elim ~comp_width_bound:r.comp_width_bound
               ~comp_max_cells:r.comp_max_cells ~comp_memos:memos
               ~comp_spill_dir:spill_dir q db)

@@ -30,8 +30,6 @@ type t = {
   val_order : Val_kernel.order;
   val_cache_entries : int;
   val_spill : Val_kernel.spill;
-  max_candidates : int;
-  comp_mask : Comp_candidates.mask_choice;
   comp_elim : Comp_kernel.choice;
   comp_width_bound : int;
   comp_max_cells : int;
@@ -142,14 +140,6 @@ let of_json j =
           [ ("auto", Val_kernel.Auto); ("off", Val_kernel.Off);
             ("force", Val_kernel.Force) ]
           Val_kernel.Auto;
-      max_candidates =
-        int_def j "max_candidates" Comp_candidates.default_max_candidates;
-      comp_mask =
-        enum_def j "comp_mask"
-          [ ("auto", Comp_candidates.Auto);
-            ("int", Comp_candidates.Int_masks);
-            ("wide", Comp_candidates.Wide_masks) ]
-          Comp_candidates.Auto;
       comp_elim =
         enum_def j "comp_elim"
           [ ("auto", Comp_kernel.Auto); ("off", Comp_kernel.Off);
@@ -204,12 +194,6 @@ let cache_key r ~db_key =
     add "val_order" (Val_kernel.order_to_string r.val_order);
     add "val_cache_entries" (string_of_int r.val_cache_entries);
     add "val_spill" (Val_kernel.spill_to_string r.val_spill);
-    add "max_candidates" (string_of_int r.max_candidates);
-    add "comp_mask"
-      (match r.comp_mask with
-      | Comp_candidates.Auto -> "auto"
-      | Comp_candidates.Int_masks -> "int"
-      | Comp_candidates.Wide_masks -> "wide");
     add "comp_elim"
       (match r.comp_elim with
       | Comp_kernel.Auto -> "auto"

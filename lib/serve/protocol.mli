@@ -40,8 +40,6 @@ type t = {
   val_order : Val_kernel.order;
   val_cache_entries : int;
   val_spill : Val_kernel.spill;
-  max_candidates : int;
-  comp_mask : Comp_candidates.mask_choice;
   comp_elim : Comp_kernel.choice;
   comp_width_bound : int;
   comp_max_cells : int;

@@ -90,3 +90,23 @@ let random_idb ~seed ~schema ~rows ~codd ~uniform =
         (List.map (fun n -> (n, random_subset_nonempty consts)) null_names)
   in
   Idb.make facts spec
+
+(* The candidate ground-fact universe of a table, sorted: every grounding
+   of every fact, each null ranging over its own domain (for a Codd table,
+   exactly the facts some completion can contain). *)
+let candidate_facts db =
+  let ground (f : Idb.fact) =
+    Array.fold_right
+      (fun t rests ->
+        let choices =
+          match t with
+          | Term.Const c -> [ c ]
+          | Term.Null n -> Idb.domain_of db n
+        in
+        List.concat_map (fun c -> List.map (fun rest -> c :: rest) rests) choices)
+      f.Idb.args [ [] ]
+    |> List.map (Incdb_relational.Cdb.fact f.Idb.rel)
+  in
+  List.concat_map ground (Idb.facts db)
+  |> List.sort_uniq Incdb_relational.Cdb.compare_fact
+  |> Array.of_list

@@ -27,7 +27,7 @@ let prop_events_exact query schema =
       in
       QCheck.assume (Gen.manageable db);
       QCheck.assume (List.length (Karp_luby.events q db) <= 18);
-      Nat.equal (Karp_luby.exact_via_events q db) (brute q db))
+      Nat.equal (Karp_luby.exact_unmemoized q db) (brute q db))
 
 let prop_events_rxx = prop_events_exact "R(x,x)" [ ("R", 2) ]
 let prop_events_rxsx = prop_events_exact "R(x), S(x)" [ ("R", 1); ("S", 1) ]
@@ -44,7 +44,7 @@ let prop_events_union =
       in
       QCheck.assume (Gen.manageable db);
       QCheck.assume (List.length (Karp_luby.events q db) <= 18);
-      Nat.equal (Karp_luby.exact_via_events q db) (brute q db))
+      Nat.equal (Karp_luby.exact_unmemoized q db) (brute q db))
 
 let test_events_monotone_only () =
   let db = Idb.make [ Idb.fact "R" [ Term.null "n" ] ] (Idb.Uniform [ "0" ]) in
@@ -214,13 +214,12 @@ let test_rare_event () =
     true
     (relative_error exact est < 0.1)
 
-(* The inclusion-exclusion oracle past one mask word: with more nulls
-   than fit a single word, subset term sharing switches to wide-bitset
-   fixed-null keys, observable through the iex.mask_repr gauge, and the
-   count must not change. *)
-let test_exact_via_events_wide_nulls () =
+(* The inclusion-exclusion oracle with more nulls than fit one machine
+   word: event sizes are products over the free nulls' domains, exact
+   past 2^62. *)
+let test_exact_unmemoized_wide_nulls () =
   (* [pad] extra nulls in a relation the query never mentions inflate the
-     slot count without touching the two events. *)
+     null count without touching the two events. *)
   let wide_db pad =
     let free =
       List.init pad (fun i -> Idb.fact "T" [ Term.null (Printf.sprintf "f%d" i) ])
@@ -237,30 +236,14 @@ let test_exact_via_events_wide_nulls () =
          :: List.init pad (fun i -> (Printf.sprintf "f%d" i, [ "0"; "1" ]))))
   in
   let q = bcq "R(x), S(x)" in
-  let mask_repr db =
-    let was = Incdb_obs.Runtime.enabled () in
-    Incdb_obs.Runtime.set_enabled true;
-    let n =
-      Fun.protect
-        ~finally:(fun () -> Incdb_obs.Runtime.set_enabled was)
-        (fun () -> Karp_luby.exact_via_events q db)
-    in
-    (n, Incdb_obs.Metrics.gauge_value "iex.mask_repr")
-  in
   (* 64 nulls: count = 3 * 2^62 (a or b drawn "u", 62 free binary
-     nulls), memoized = unmemoized, masks two words wide. *)
-  let db = wide_db 62 in
-  let expected = Nat.mul (Nat.of_int 3) (Nat.pow Nat.two 62) in
-  let n, repr = mask_repr db in
-  Gen.check_nat "wide-null count" expected n;
-  Gen.check_nat "memo-free agrees" expected
-    (Karp_luby.exact_via_events ~memo:false q db);
-  Alcotest.(check (option (float 0.))) "two words per mask" (Some 2.) repr;
-  (* Exactly at the word boundary the single-word path still runs. *)
-  let n62, repr62 = mask_repr (wide_db 60) in
-  Gen.check_nat "boundary count" (Nat.mul (Nat.of_int 3) (Nat.pow Nat.two 60))
-    n62;
-  Alcotest.(check (option (float 0.))) "one word per mask" (Some 1.) repr62
+     nulls). *)
+  Gen.check_nat "wide-null count"
+    (Nat.mul (Nat.of_int 3) (Nat.pow Nat.two 62))
+    (Karp_luby.exact_unmemoized q (wide_db 62));
+  Gen.check_nat "boundary count"
+    (Nat.mul (Nat.of_int 3) (Nat.pow Nat.two 60))
+    (Karp_luby.exact_unmemoized q (wide_db 60))
 
 let test_unbiasedness () =
   (* Averaging small-sample estimates over many seeds must approach the
@@ -397,7 +380,7 @@ let () =
             test_wilson_ci;
           Alcotest.test_case "rare events" `Quick test_rare_event;
           Alcotest.test_case "wide-null inclusion-exclusion" `Quick
-            test_exact_via_events_wide_nulls;
+            test_exact_unmemoized_wide_nulls;
           Alcotest.test_case "unbiasedness" `Quick test_unbiasedness;
         ] );
       ( "enumeration",

@@ -171,149 +171,97 @@ let prop_gcd =
       Nat.to_int (Nat.gcd (Nat.of_int a) (Nat.of_int b)) = igcd a b)
 
 (* ------------------------------------------------------------------ *)
-(* Bitset: Int vs Wide agreement below one word, word boundaries       *)
+(* Bitset against a bool-array model, across word boundaries           *)
 (* ------------------------------------------------------------------ *)
 
-module BI = Bitset.Int
-module BW = Bitset.Wide
+module B = Bitset
 
-let both ~width bits =
-  ( List.fold_left BI.set (BI.zero ~width) bits,
-    List.fold_left BW.set (BW.zero ~width) bits )
-
-let wide_bits m =
+let bits_of m =
   let acc = ref [] in
-  BW.iter (fun i -> acc := i :: !acc) m;
+  B.iter (fun i -> acc := i :: !acc) m;
   List.rev !acc
 
-let sign n = compare n 0
+let of_model model =
+  let m = ref (B.zero ~width:(Array.length model)) in
+  Array.iteri (fun i b -> if b then m := B.set !m i) model;
+  !m
 
-(* Below one word the two implementations must agree operation by
-   operation: a Wide value is then a single array slot holding exactly
-   the Int mask's word (same bit positions, same nonnegative-word
-   convention), so even compare orders coincide. *)
-let prop_bitset_int_wide =
-  QCheck.Test.make ~count:300 ~name:"Bitset.Int = Bitset.Wide below one word"
-    QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let width = 1 + Random.State.int st Bitset.bits_per_word in
-      let bits () =
-        List.filter (fun _ -> Random.State.bool st) (List.init width Fun.id)
-      in
-      let ba = bits () and bb = bits () in
-      let ia, wa = both ~width ba and ib, wb = both ~width bb in
-      List.for_all (fun i -> BI.test ia i = BW.test wa i)
-        (List.init width Fun.id)
-      && BI.popcount ia = BW.popcount wa
-      && BI.popcount_inter ia ib = BW.popcount_inter wa wb
-      && BI.popcount_diff ia ib = BW.popcount_diff wa wb
-      && BI.lowest ia = BW.lowest wa
-      && BI.is_empty ia = BW.is_empty wa
-      && BI.disjoint ia ib = BW.disjoint wa wb
-      && BI.subset ia ib = BW.subset wa wb
-      && BI.equal ia ib = BW.equal wa wb
-      && sign (BI.compare ia ib) = sign (BW.compare wa wb)
-      && wide_bits (BW.union wa wb)
-         = List.filter (fun i -> BI.test (BI.union ia ib) i)
-             (List.init width Fun.id)
-      && wide_bits (BW.inter wa wb)
-         = List.filter (fun i -> BI.test (BI.inter ia ib) i)
-             (List.init width Fun.id)
-      && ((not (BW.equal wa wb)) || BW.hash wa = BW.hash wb))
+let model_bits model =
+  List.filter (fun i -> model.(i)) (List.init (Array.length model) Fun.id)
 
-(* Multi-word semantics independent of Int: set algebra on sorted bit
-   lists is the reference model, exercised across the 62/63 and 124/125
-   word boundaries. *)
-let prop_bitset_wide_model =
-  QCheck.Test.make ~count:300 ~name:"Bitset.Wide = set algebra across words"
+let count model = List.length (model_bits model)
+
+(* Compare as the numbers the bit vectors spell: highest differing bit
+   decides. *)
+let model_compare a b =
+  let rec go i =
+    if i < 0 then 0
+    else if a.(i) = b.(i) then go (i - 1)
+    else if a.(i) then 1
+    else -1
+  in
+  go (Array.length a - 1)
+
+(* Every operation against a [bool array] of the same width; widths up
+   to 150 cross the 62/63 and 124/125 word boundaries. *)
+let prop_bitset_model =
+  QCheck.Test.make ~count:300 ~name:"Bitset = bool array model"
     QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
     (fun seed ->
       let st = Random.State.make [| seed |] in
       let width = 1 + Random.State.int st 150 in
-      let bits () =
-        List.filter (fun _ -> Random.State.int st 4 = 0)
-          (List.init width Fun.id)
-      in
-      let ba = bits () and bb = bits () in
-      let wa = List.fold_left BW.set (BW.zero ~width) ba
-      and wb = List.fold_left BW.set (BW.zero ~width) bb in
-      let inter = List.filter (fun i -> List.mem i bb) ba in
-      let union = List.sort_uniq compare (ba @ bb) in
-      wide_bits wa = ba
-      && wide_bits (BW.union wa wb) = union
-      && wide_bits (BW.inter wa wb) = inter
-      && BW.popcount wa = List.length ba
-      && BW.popcount_inter wa wb = List.length inter
-      && BW.popcount_diff wa wb
-         = List.length (List.filter (fun i -> not (List.mem i bb)) ba)
-      && BW.lowest wa = (match ba with [] -> -1 | i :: _ -> i)
-      && BW.is_empty wa = (ba = [])
-      && BW.disjoint wa wb = (inter = [])
-      && BW.subset wa wb = List.for_all (fun i -> List.mem i bb) ba
-      && BW.equal wa wb = (ba = bb))
-
-let test_bitset_words_for () =
-  let bpw = Bitset.bits_per_word in
-  Alcotest.(check int) "bits_per_word" (Sys.int_size - 1) bpw;
-  Alcotest.(check int) "words_for 0" 0 (Bitset.words_for 0);
-  Alcotest.(check int) "words_for 1" 1 (Bitset.words_for 1);
-  Alcotest.(check int) "words_for bpw" 1 (Bitset.words_for bpw);
-  Alcotest.(check int) "words_for bpw+1" 2 (Bitset.words_for (bpw + 1));
-  Alcotest.(check int) "words_for 2*bpw" 2 (Bitset.words_for (2 * bpw));
-  Alcotest.(check int) "words_for 2*bpw+1" 3 (Bitset.words_for (2 * bpw + 1))
+      let model () = Array.init width (fun _ -> Random.State.int st 4 = 0) in
+      let ma = model () and mb = model () in
+      let a = of_model ma and b = of_model mb in
+      let both f = Array.init width (fun i -> f ma.(i) mb.(i)) in
+      List.for_all (fun i -> B.test a i = ma.(i)) (List.init width Fun.id)
+      && bits_of a = model_bits ma
+      && bits_of (B.union a b) = model_bits (both ( || ))
+      && bits_of (B.inter a b) = model_bits (both ( && ))
+      && B.popcount a = count ma
+      && B.popcount_inter a b = count (both ( && ))
+      && B.subset a b = Array.for_all2 (fun x y -> (not x) || y) ma mb
+      && compare (B.compare a b) 0 = model_compare ma mb
+      && B.compare a a = 0
+      && bits_of (B.full ~width) = List.init width Fun.id)
 
 let test_bitset_boundaries () =
-  (* full / low at exactly one-word, one-word-plus-one and two-word
-     widths: the bits just below and just above each boundary behave
-     identically. *)
+  (* [full] at exactly one word, one word plus one and two words: the
+     bits just below and just above each boundary behave identically. *)
   List.iter
     (fun width ->
-      let f = BW.full ~width in
+      let f = B.full ~width in
       Alcotest.(check int)
         (Printf.sprintf "full %d popcount" width)
-        width (BW.popcount f);
+        width (B.popcount f);
       Alcotest.(check bool)
         (Printf.sprintf "full %d top bit" width)
         true
-        (BW.test f (width - 1));
-      Alcotest.(check int)
-        (Printf.sprintf "full %d lowest" width)
-        0 (BW.lowest f);
+        (B.test f (width - 1));
+      let l = B.zero ~width in
       Alcotest.(check bool)
-        (Printf.sprintf "full %d = low width" width)
-        true
-        (BW.equal f (BW.low ~width width));
-      let l = BW.low ~width (width - 1) in
-      Alcotest.(check int)
-        (Printf.sprintf "low %d popcount" (width - 1))
-        (width - 1) (BW.popcount l);
-      Alcotest.(check bool)
-        (Printf.sprintf "low misses bit %d" (width - 1))
-        false
-        (BW.test l (width - 1));
-      Alcotest.(check bool)
-        (Printf.sprintf "low subset full (%d)" width)
-        true (BW.subset l f))
+        (Printf.sprintf "empty subset full (%d)" width)
+        true (B.subset l f))
     [ 62; 63; 64; 124; 125 ];
   (* A bit in word 0 and a bit in word 1 straddling the boundary. *)
   let width = 70 in
-  let a = BW.set (BW.zero ~width) 61 and b = BW.set (BW.zero ~width) 62 in
-  Alcotest.(check bool) "straddle disjoint" true (BW.disjoint a b);
-  Alcotest.(check int) "straddle union" 2 (BW.popcount (BW.union a b));
-  Alcotest.(check bool) "order across words" true (BW.compare a b < 0);
+  let a = B.set (B.zero ~width) 61 and b = B.set (B.zero ~width) 62 in
+  Alcotest.(check int) "straddle disjoint" 0 (B.popcount_inter a b);
+  Alcotest.(check int) "straddle union" 2 (B.popcount (B.union a b));
+  Alcotest.(check bool) "order across words" true (B.compare a b < 0);
   Alcotest.(check (list int)) "iter ascending" [ 61; 62 ]
-    (wide_bits (BW.union a b))
+    (bits_of (B.union a b));
+  Alcotest.(check int) "popword" 3 (B.popword 0b10110)
 
 let test_bitset_inplace () =
   let width = 100 in
-  let base = BW.set (BW.zero ~width) 7 in
-  let scratch = BW.copy base in
-  BW.set_inplace scratch 99;
-  Alcotest.(check bool) "copy isolates" false (BW.test base 99);
-  Alcotest.(check bool) "set_inplace lands" true (BW.test scratch 99);
-  BW.clear_inplace scratch 99;
-  Alcotest.(check bool) "clear undoes" true (BW.equal scratch base)
+  let base = B.set (B.zero ~width) 7 in
+  let scratch = B.union base (B.zero ~width) in
+  B.set_inplace scratch 99;
+  Alcotest.(check bool) "union result is fresh" false (B.test base 99);
+  Alcotest.(check bool) "set_inplace lands" true (B.test scratch 99);
+  B.clear_inplace scratch 99;
+  Alcotest.(check int) "clear undoes" 0 (B.compare scratch base)
 
 let zsmall = QCheck.Gen.int_range (-1_000_000) 1_000_000
 
@@ -383,9 +331,7 @@ let () =
         ] );
       ( "bitset",
         [
-          QCheck_alcotest.to_alcotest prop_bitset_int_wide;
-          QCheck_alcotest.to_alcotest prop_bitset_wide_model;
-          Alcotest.test_case "words_for" `Quick test_bitset_words_for;
+          QCheck_alcotest.to_alcotest prop_bitset_model;
           Alcotest.test_case "word boundaries" `Quick test_bitset_boundaries;
           Alcotest.test_case "in-place scratch" `Quick test_bitset_inplace;
         ] );

@@ -2,10 +2,10 @@
    dispatcher arm: hand-checked Codd and non-Codd instances (including
    the branch-overlap case where summing per-branch counts would
    overcount), typed-limit units for every Infeasible variant, the
-   bag-boundary spill path, and qcheck agreement with the candidate
-   enumerator and the parallel brute-force oracle on random Codd and
-   non-Codd tables — counts and the deterministic elim counters
-   bit-identical across jobs {1,2,4}, mask int/wide and cache on/off. *)
+   bag-boundary spill path, and qcheck agreement with the parallel
+   brute-force oracle on random Codd and non-Codd tables — counts and
+   the deterministic elim counters bit-identical across jobs {1,2,4} and
+   cache on/off. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -16,7 +16,7 @@ module Metrics = Incdb_obs.Metrics
 
 let check_nat = Gen.check_nat
 
-(* The elim counters that must not depend on jobs / mask / cache (the
+(* The elim counters that must not depend on jobs / cache (the
    cache hit/miss counters are excluded by design). *)
 let elim_counters =
   [
@@ -113,14 +113,44 @@ let test_query_figure1 () =
       (Idb.Nonuniform [ ("n1", [ "a"; "b"; "c" ]); ("n2", [ "a"; "b" ]) ])
   in
   let q = Cq.make [ Cq.atom "S" [ "x"; "x" ] ] in
-  let _, expected = Count_comp.count ~comp_elim:Comp_kernel.Off q db in
+  let expected = Brute.count_completions (Query.Bcq q) db in
   let got = Comp_kernel.count ~query:(Query.Bcq q) db in
-  check_nat "kernel matches the enumerator" expected got;
+  check_nat "kernel matches brute force" expected got;
   (* Negation compiles through the same lineage with the flag flipped:
      the two counts partition the completion space. *)
   let all = Comp_kernel.count db in
   let negated = Comp_kernel.count ~query:(Query.Not (Query.Bcq q)) db in
   check_nat "q and not-q partition the completions" all (Nat.add got negated)
+
+(* Interchangeable facts: eight nulls over {a,b} and three over
+   {a,b,c} in R, one S-null over {c,d}.  The kernel keeps min(copies,
+   |image|) of each shape — 2 + 3 + 1 fact windows — and must still
+   count exactly what brute force counts, with and without a join. *)
+let test_interchangeable_facts () =
+  let nulls prefix k dom =
+    List.init k (fun i -> (Printf.sprintf "%s%d" prefix i, dom))
+  in
+  let doms =
+    nulls "p" 8 [ "a"; "b" ] @ nulls "t" 3 [ "a"; "b"; "c" ]
+    @ [ ("s", [ "c"; "d" ]) ]
+  in
+  let db =
+    Idb.make
+      (List.map
+         (fun (n, _) ->
+           Idb.fact (if n = "s" then "S" else "R") [ Term.null n ])
+         doms)
+      (Idb.Nonuniform doms)
+  in
+  (match Comp_kernel.plan db with
+  | Ok p ->
+    Alcotest.(check bool) "at most six open fact windows" true
+      (Comp_kernel.plan_width p <= 6)
+  | Error i -> Alcotest.fail (Comp_kernel.infeasible_to_string i));
+  check_nat "all completions" (Brute.count_all_completions db)
+    (Comp_kernel.count db);
+  let q = Query.Bcq (Cq.of_string "R(x), S(x)") in
+  check_nat "join" (Brute.count_completions q db) (Comp_kernel.count ~query:q db)
 
 (* Empty table: exactly one completion (the empty database), which
    satisfies no positive query. *)
@@ -179,7 +209,7 @@ let test_dispatcher_fallback () =
   (match Count_comp.count_all ~comp_elim:Comp_kernel.Force ~comp_width_bound:0 db with
   | exception Comp_kernel.Infeasible (Comp_kernel.Width_exceeded _) -> ()
   | _ -> Alcotest.fail "Force must raise Infeasible");
-  (* Off restores the pre-kernel policy: non-Codd goes brute. *)
+  (* Off: closed form, else brute force. *)
   let algo, _ = Count_comp.count_all ~comp_elim:Comp_kernel.Off db in
   Alcotest.(check string) "Off routes non-Codd to brute force"
     (Count_comp.algorithm_to_string Count_comp.Brute_force)
@@ -225,9 +255,8 @@ let test_spill_agreement () =
 (* Agreement properties                                                *)
 (* ------------------------------------------------------------------ *)
 
-let force_count ?jobs ?mask ?cache q db =
-  Count_comp.count ?jobs ?mask ~comp_elim:Comp_kernel.Force ?comp_cache:cache q
-    db
+let force_count ?jobs ?cache q db =
+  Count_comp.count ?jobs ~comp_elim:Comp_kernel.Force ?comp_cache:cache q db
 
 (* Random (Codd and non-Codd) tables, no query: kernel vs brute dedup. *)
 let prop_kernel_vs_brute_all =
@@ -261,61 +290,28 @@ let prop_kernel_vs_brute_query =
         let brute = Brute.count_completions (Query.Bcq q) db in
         Nat.equal n brute)
 
-(* Random Codd tables inside the enumerator's range: kernel vs
-   Comp_candidates, both through the dispatcher. *)
-let prop_kernel_vs_enumerator =
-  QCheck.Test.make ~count:120 ~name:"comp_kernel = candidate enumerator"
-    QCheck.(pair small_int small_int)
-    (fun (qseed, dbseed) ->
-      let q = Gen.random_sjfbcq ~seed:qseed in
-      let db =
-        Gen.random_idb ~seed:dbseed ~schema:(Gen.schema_of_query q) ~rows:2
-          ~codd:true ~uniform:false
-      in
-      QCheck.assume (Idb.is_codd db);
-      QCheck.assume
-        (Option.is_some (Comp_candidates.universe_within db ~limit:60));
-      match force_count q db with
-      | exception Comp_kernel.Infeasible _ -> QCheck.assume_fail ()
-      | _, n -> (
-        match Count_comp.count ~comp_elim:Comp_kernel.Off q db with
-        | Count_comp.Candidate_enumeration, m -> Nat.equal n m
-        | algo, m ->
-          (* Theorem 4.6 instances dispatch to the closed form; still
-             must agree. *)
-          ignore algo;
-          Nat.equal n m))
-
 (* Counts AND deterministic counter deltas bit-identical across
-   jobs {1,2,4} x mask int/wide x cache on/off. *)
+   jobs {1,2,4} x cache on/off. *)
 let prop_config_invariance =
   QCheck.Test.make ~count:40
-    ~name:"comp_kernel invariant across jobs x mask x cache"
+    ~name:"comp_kernel invariant across jobs x cache"
     QCheck.(triple small_int bool bool)
     (fun (seed, codd, uniform) ->
       let schema = [ ("R", 1); ("S", 2) ] in
       let db = Gen.random_idb ~seed ~schema ~rows:2 ~codd ~uniform in
       QCheck.assume (Gen.manageable ~limit:50_000 db);
       let q = Cq.make [ Cq.atom "R" [ "x" ]; Cq.atom "S" [ "x"; "y" ] ] in
-      let run jobs mask cache =
-        with_elim_deltas (fun () -> force_count ~jobs ~mask ~cache q db)
+      let run jobs cache =
+        with_elim_deltas (fun () -> force_count ~jobs ~cache q db)
       in
-      match run 1 Comp_candidates.Auto true with
+      match run 1 true with
       | exception Comp_kernel.Infeasible _ -> QCheck.assume_fail ()
       | (ref_algo, ref_n), ref_deltas ->
         List.for_all
-          (fun (jobs, mask, cache) ->
-            let (algo, n), deltas = run jobs mask cache in
+          (fun (jobs, cache) ->
+            let (algo, n), deltas = run jobs cache in
             algo = ref_algo && Nat.equal n ref_n && deltas = ref_deltas)
-          [
-            (2, Comp_candidates.Auto, true);
-            (4, Comp_candidates.Auto, true);
-            (1, Comp_candidates.Int_masks, true);
-            (1, Comp_candidates.Wide_masks, true);
-            (1, Comp_candidates.Auto, false);
-            (2, Comp_candidates.Wide_masks, false);
-            (4, Comp_candidates.Int_masks, false);
-          ])
+          [ (2, true); (4, true); (1, false); (2, false); (4, false) ])
 
 let () =
   Alcotest.run "comp_kernel"
@@ -329,6 +325,8 @@ let () =
             test_noncodd_branch_overlap;
           Alcotest.test_case "non-codd diagonal" `Quick test_noncodd_diagonal;
           Alcotest.test_case "query figure1" `Quick test_query_figure1;
+          Alcotest.test_case "interchangeable facts" `Quick
+            test_interchangeable_facts;
           Alcotest.test_case "empty table" `Quick test_empty_table;
         ] );
       ( "limits",
@@ -342,7 +340,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_kernel_vs_brute_all;
           QCheck_alcotest.to_alcotest prop_kernel_vs_brute_query;
-          QCheck_alcotest.to_alcotest prop_kernel_vs_enumerator;
           QCheck_alcotest.to_alcotest prop_config_invariance;
         ] );
     ]

@@ -191,8 +191,8 @@ let test_dispatcher_algorithms () =
       (Idb.Nonuniform [ ("n", [ "0"; "1" ]) ])
   in
   let algo2, _ = Count_comp.count (Cq.of_string "R(x)") nonuniform in
-  Alcotest.(check string) "non-uniform Codd routes to candidate enumeration"
-    (Count_comp.algorithm_to_string Count_comp.Candidate_enumeration)
+  Alcotest.(check string) "non-uniform Codd routes to lineage elimination"
+    (Count_comp.algorithm_to_string Count_comp.Lineage_elimination)
     (Count_comp.algorithm_to_string algo2);
   (* A naive table is now picked up by the elimination kernel (it used
      to be the brute-force cliff)... *)
@@ -210,13 +210,63 @@ let test_dispatcher_algorithms () =
     (Count_comp.algorithm_to_string Count_comp.Lineage_elimination)
     (Count_comp.algorithm_to_string algo3);
   check_nat "elimination count matches brute" (brute q3 naive_wide) n3;
-  (* ... unless the elimination arm is off, which restores the cliff. *)
+  (* ... unless the elimination arm is off: closed form, else brute
+     force. *)
   let algo4, _ =
     Count_comp.count ~comp_elim:Comp_kernel.Off q3 naive_wide
   in
   Alcotest.(check string) "naive with --comp-elim off falls back to brute force"
     (Count_comp.algorithm_to_string Count_comp.Brute_force)
     (Count_comp.algorithm_to_string algo4)
+
+(* A Codd table of exactly 80 candidate facts — B(?a0,k0), B(?a1,k1),
+   U(?b0), U(?b1), every null over its own 20-value domain — with the
+   join B(x,y), U(x).  The dispatcher once sent every Codd table of at
+   most 80 candidates to a subset enumerator, which took seconds here;
+   it must go to the elimination kernel and match brute force. *)
+let test_dispatch_80_candidates () =
+  let vals lo = List.init 20 (fun i -> Printf.sprintf "o%d" (lo + i)) in
+  let db =
+    Idb.make
+      [
+        Idb.fact_of_strings "B" [ "?a0"; "k0" ];
+        Idb.fact_of_strings "B" [ "?a1"; "k1" ];
+        Idb.fact_of_strings "U" [ "?b0" ];
+        Idb.fact_of_strings "U" [ "?b1" ];
+      ]
+      (Idb.Nonuniform
+         [ ("a0", vals 0); ("a1", vals 10); ("b0", vals 5); ("b1", vals 25) ])
+  in
+  Alcotest.(check int) "80 candidate facts" 80
+    (Array.length (Gen.candidate_facts db));
+  let q = Cq.of_string "B(x,y), U(x)" in
+  let algo, n = Count_comp.count q db in
+  Alcotest.(check string) "routed to lineage elimination"
+    (Count_comp.algorithm_to_string Count_comp.Lineage_elimination)
+    (Count_comp.algorithm_to_string algo);
+  check_nat "count = Brute_par"
+    (Incdb_par.Brute_par.count_completions ~jobs:2 (Query.Bcq q) db)
+    n
+
+(* Random nonuniform Codd tables (outside the Theorem 4.6 closed form):
+   whenever the kernel compiles a plan, the dispatcher must take it, and
+   the count must match brute force. *)
+let prop_codd_dispatch_to_kernel =
+  QCheck.Test.make ~count:100
+    ~name:"#Comp dispatcher routes plannable Codd tables to the kernel"
+    QCheck.(make (QCheck.Gen.pair (QCheck.Gen.int_range 1 1_000_000)
+                    (QCheck.Gen.int_range 1 1_000_000)))
+    (fun (qseed, dseed) ->
+      let q = Gen.random_sjfbcq ~seed:qseed in
+      let db =
+        Gen.random_idb ~seed:dseed ~schema:(Gen.schema_of_query q) ~rows:2
+          ~codd:true ~uniform:false
+      in
+      QCheck.assume (Gen.manageable ~limit:60_000 db);
+      QCheck.assume
+        (Result.is_ok (Comp_kernel.plan ~query:(Query.Bcq q) db));
+      let algo, n = Count_comp.count q db in
+      algo = Count_comp.Lineage_elimination && Nat.equal n (brute q db))
 
 (* ------------------------------------------------------------------ *)
 (* Hand-checked small cases                                            *)
@@ -278,6 +328,7 @@ let () =
         prop_q_rx_sy;
         prop_q_three;
         prop_dispatcher;
+        prop_codd_dispatch_to_kernel;
         prop_closed_form_unary;
         prop_closed_form_two_unary;
         prop_closed_form_example_3_10;
@@ -298,6 +349,10 @@ let () =
           Alcotest.test_case "missing relation" `Quick test_query_relation_missing;
         ] );
       ( "dispatch",
-        [ Alcotest.test_case "algorithm selection" `Quick test_dispatcher_algorithms ] );
+        [
+          Alcotest.test_case "algorithm selection" `Quick test_dispatcher_algorithms;
+          Alcotest.test_case "80-candidate Codd join" `Quick
+            test_dispatch_80_candidates;
+        ] );
       ("properties", props);
     ]

@@ -86,7 +86,7 @@ let prop_neq_events =
       QCheck.assume
         (List.length (Incdb_approx.Karp_luby.events q db) <= 18);
       Nat.equal
-        (Incdb_approx.Karp_luby.exact_via_events q db)
+        (Incdb_approx.Karp_luby.exact_unmemoized q db)
         (Brute.count_valuations q db))
 
 let test_neq_estimator () =
@@ -257,11 +257,11 @@ let test_symbolic_rejects () =
            ~domain_size:3))
 
 (* ------------------------------------------------------------------ *)
-(* Candidate-space completion counting                                 *)
+(* Completion counting on Codd tables through the dispatcher           *)
 (* ------------------------------------------------------------------ *)
 
-let prop_comp_candidates =
-  QCheck.Test.make ~count:60 ~name:"candidate enumeration = brute force"
+let prop_comp_codd_dispatch =
+  QCheck.Test.make ~count:60 ~name:"#Comp dispatcher on Codd tables = brute force"
     QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
     (fun seed ->
       let db =
@@ -269,37 +269,34 @@ let prop_comp_candidates =
           ~uniform:(seed mod 2 = 0)
       in
       QCheck.assume (Gen.manageable db);
-      QCheck.assume (List.length (Comp_candidates.candidate_facts db) <= 14);
-      Nat.equal (Comp_candidates.count db) (Brute.count_all_completions db)
+      Nat.equal (snd (Count_comp.count_all db)) (Brute.count_all_completions db)
       &&
-      let q = Query.Bcq (Cq.of_string "R(x), S(x)") in
+      let q = Cq.of_string "R(x), S(x)" in
       Nat.equal
-        (Comp_candidates.count ~query:q db)
-        (Brute.count_completions q db))
+        (snd (Count_comp.count q db))
+        (Brute.count_completions (Query.Bcq q) db))
 
-let test_comp_candidates_beats_brute () =
-  (* 30 unary nulls over {0,1}: 2^30 valuations but only 2 candidates. *)
-  let db =
-    Idb.make
-      (List.init 30 (fun i -> Idb.fact "R" [ Term.null (Printf.sprintf "n%d" i) ]))
-      (Idb.Uniform [ "0"; "1" ])
+let test_comp_codd_beats_brute () =
+  (* 30 unary nulls over {0,1}: 2^30 valuations but only 2 candidate
+     facts; completions {0}, {1}, {0,1}. *)
+  let nulls = List.init 30 (Printf.sprintf "n%d") in
+  let facts = List.map (fun n -> Idb.fact "R" [ Term.null n ]) nulls in
+  let uniform = Idb.make facts (Idb.Uniform [ "0"; "1" ]) in
+  check_nat "Thm 4.6" (Nat.of_int 3) (Count_comp.uniform_unary uniform);
+  (* The same table with per-null domains is outside the closed form:
+     the elimination kernel answers it over the 2-fact universe. *)
+  let nonuniform =
+    Idb.make facts (Idb.Nonuniform (List.map (fun n -> (n, [ "0"; "1" ])) nulls))
   in
-  Alcotest.(check int) "tiny candidate universe" 2
-    (List.length (Comp_candidates.candidate_facts db));
-  (* completions: {0}, {1}, {0,1} *)
-  check_nat "three completions" (Nat.of_int 3) (Comp_candidates.count db);
-  (* and the Theorem 4.6 algorithm agrees *)
-  check_nat "Thm 4.6 agrees" (Nat.of_int 3) (Count_comp.uniform_unary db)
-
-let test_comp_candidates_rejects_naive () =
-  let db =
-    Idb.make
-      [ Idb.fact "R" [ Term.null "n" ]; Idb.fact "S" [ Term.null "n" ] ]
-      (Idb.Uniform [ "0" ])
-  in
-  Alcotest.check_raises "naive rejected"
-    (Invalid_argument "Comp_candidates.count: requires a Codd table")
-    (fun () -> ignore (Comp_candidates.count db))
+  (match Comp_kernel.plan nonuniform with
+  | Ok p ->
+    Alcotest.(check int) "tiny candidate universe" 2 (Comp_kernel.plan_universe p)
+  | Error i -> Alcotest.fail (Comp_kernel.infeasible_to_string i));
+  let algo, n = Count_comp.count_all nonuniform in
+  Alcotest.(check string) "routed to the kernel"
+    (Count_comp.algorithm_to_string Count_comp.Lineage_elimination)
+    (Count_comp.algorithm_to_string algo);
+  check_nat "three completions" (Nat.of_int 3) n
 
 (* ------------------------------------------------------------------ *)
 (* Bounds for #Comp (Section 8 under-approximation)                    *)
@@ -609,7 +606,7 @@ let () =
       [
         prop_minimal_models;
         prop_neq_events;
-        prop_comp_candidates;
+        prop_comp_codd_dispatch;
         prop_bag_bounds;
         prop_symbolic_matches_explicit;
         prop_comp_bounds_sound;
@@ -639,11 +636,8 @@ let () =
           Alcotest.test_case "shape rejection" `Quick test_symbolic_rejects;
           Alcotest.test_case "completions at 10^9" `Quick test_symbolic_comp_huge;
         ] );
-      ( "comp-candidates",
-        [
-          Alcotest.test_case "beats brute" `Quick test_comp_candidates_beats_brute;
-          Alcotest.test_case "rejects naive" `Quick test_comp_candidates_rejects_naive;
-        ] );
+      ( "comp-codd",
+        [ Alcotest.test_case "beats brute" `Quick test_comp_codd_beats_brute ] );
       ( "comp-bounds",
         [ Alcotest.test_case "bounds meet" `Quick test_comp_bounds_meet ] );
       ( "answers",

@@ -248,6 +248,30 @@ let test_chrome_lanes () =
             Alcotest.fail (Printf.sprintf "lane %d left spans open" tid))
         stacks)
 
+(* Rings are bounded by the domains live at once: sequential two-domain
+   pool runs hand the worker's ring from one spawned domain to the next
+   instead of registering a ring per domain ever spawned. *)
+let test_rings_recycled () =
+  with_fresh_obs (fun () ->
+      Events.reset ();
+      for _ = 1 to 200 do
+        let (_ : int list) =
+          Incdb_par.Pool.run ~jobs:2 (List.init 4 (fun i () -> i))
+        in
+        ()
+      done;
+      let lanes = Events.snapshot () in
+      Alcotest.(check bool)
+        (Printf.sprintf "at most 2 rings (saw %d)" (List.length lanes))
+        true
+        (List.length lanes <= 2);
+      (* The recycled worker ring still holds its events. *)
+      Alcotest.(check bool) "worker events exported" true
+        (List.exists
+           (fun (_, evs) ->
+             List.exists (fun e -> e.Events.name = "pool.worker") evs)
+           lanes))
+
 let test_prom_format () =
   with_fresh_obs (fun () ->
       let c = Metrics.counter "test.obs_prom" in
@@ -360,6 +384,7 @@ let () =
           Alcotest.test_case "ring overflow" `Quick test_ring_overflow;
           Alcotest.test_case "reset mid-span" `Quick test_reset_mid_span;
           Alcotest.test_case "chrome lanes" `Quick test_chrome_lanes;
+          Alcotest.test_case "rings recycled" `Quick test_rings_recycled;
         ] );
       ( "export",
         [

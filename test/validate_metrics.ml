@@ -95,7 +95,7 @@ let check_metrics path required_counters =
   let counters = get "counters" (Json.member "counters" j) in
   let gauges = get "gauges" (Json.member "gauges" j) in
   (* A required name may be either a counter or a gauge (e.g. the
-     kernel's comp_kernel.mask_width); both must be non-negative.  A
+     kernel's comp_kernel.elim_width); both must be non-negative.  A
      "name>=N" requirement additionally demands the value reach N —
      used by smoke rules to assert a code path actually ran rather than
      merely registered its metric — and "name=N" demands exact equality,
