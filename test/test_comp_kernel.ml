@@ -3,7 +3,8 @@
    the branch-overlap case where summing per-branch counts would
    overcount), typed-limit units for every Infeasible variant, the
    bag-boundary spill path, and qcheck agreement with the parallel
-   brute-force oracle on random Codd and non-Codd tables — counts and
+   brute-force oracle on random Codd and non-Codd tables and with the
+   Theorem 4.6 closed form on uniform unary ones — counts and
    the deterministic elim counters bit-identical across jobs {1,2,4} and
    cache on/off. *)
 
@@ -290,6 +291,49 @@ let prop_kernel_vs_brute_query =
         let brute = Brute.count_completions (Query.Bcq q) db in
         Nat.equal n brute)
 
+(* Uniform unary tables (Codd or with shared nulls) over domains of up
+   to 12 values, past where brute force stays cheap: the kernel must
+   equal the Theorem 4.6 closed form, with and without a join. *)
+let prop_kernel_vs_closed_form =
+  QCheck.Test.make ~count:60 ~name:"comp_kernel = Thm 4.6 closed form"
+    QCheck.(pair small_int bool)
+    (fun (seed, codd) ->
+      let st = Random.State.make [| seed |] in
+      let d = 1 + Random.State.int st 12 in
+      let fresh = ref 0 in
+      let term () =
+        if Random.State.int st 10 < 3 then
+          Term.const ("v" ^ string_of_int (Random.State.int st (d + 1)))
+        else if codd then begin
+          incr fresh;
+          Term.null ("n" ^ string_of_int !fresh)
+        end
+        else Term.null ("p" ^ string_of_int (Random.State.int st 2))
+      in
+      (* Both relations present, so the join query covers the schema. *)
+      let facts =
+        List.mapi
+          (fun i rel ->
+            let rel =
+              if i < 2 then rel else if Random.State.bool st then "R" else "S"
+            in
+            Idb.fact rel [ term () ])
+          (List.init (2 + Random.State.int st 4) (fun i ->
+               if i = 1 then "S" else "R"))
+      in
+      let db =
+        Idb.make facts (Idb.Uniform (List.init d (fun i -> "v" ^ string_of_int i)))
+      in
+      let q = Cq.of_string "R(x), S(x)" in
+      match
+        ( Comp_kernel.count db,
+          Comp_kernel.count ~query:(Query.Bcq q) db )
+      with
+      | exception Comp_kernel.Infeasible _ -> QCheck.assume_fail ()
+      | all, sat ->
+        Nat.equal all (Count_comp.uniform_unary db)
+        && Nat.equal sat (Count_comp.uniform_unary ~query:q db))
+
 (* Counts AND deterministic counter deltas bit-identical across
    jobs {1,2,4} x cache on/off. *)
 let prop_config_invariance =
@@ -340,6 +384,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_kernel_vs_brute_all;
           QCheck_alcotest.to_alcotest prop_kernel_vs_brute_query;
+          QCheck_alcotest.to_alcotest prop_kernel_vs_closed_form;
           QCheck_alcotest.to_alcotest prop_config_invariance;
         ] );
     ]

@@ -298,6 +298,28 @@ let test_comp_codd_beats_brute () =
     (Count_comp.algorithm_to_string algo);
   check_nat "three completions" (Nat.of_int 3) n
 
+(* A shared null makes the table naive: the Lemma B.2 matching test is
+   unsound there and refuses it, while the dispatcher still counts it
+   exactly, through the kernel's shared-null conditioning (a
+   nonuniform domain keeps it outside the Theorem 4.6 closed form). *)
+let test_comp_rejects_naive () =
+  let db =
+    Idb.make
+      [ Idb.fact "R" [ Term.null "n" ]; Idb.fact "S" [ Term.null "n" ] ]
+      (Idb.Nonuniform [ ("n", [ "0"; "1" ]) ])
+  in
+  Alcotest.check_raises "naive rejected"
+    (Invalid_argument "Codd.is_completion: requires a Codd table") (fun () ->
+      ignore
+        (Codd.is_completion db
+           (Cdb.of_list [ Cdb.fact "R" [ "0" ]; Cdb.fact "S" [ "0" ] ])));
+  (* Completions {R(0),S(0)} and {R(1),S(1)}, both satisfying R(x), S(x). *)
+  let algo, n = Count_comp.count (Cq.of_string "R(x), S(x)") db in
+  Alcotest.(check string) "routed to the kernel"
+    (Count_comp.algorithm_to_string Count_comp.Lineage_elimination)
+    (Count_comp.algorithm_to_string algo);
+  check_nat "two completions" (Nat.of_int 2) n
+
 (* ------------------------------------------------------------------ *)
 (* Bounds for #Comp (Section 8 under-approximation)                    *)
 (* ------------------------------------------------------------------ *)
@@ -637,7 +659,10 @@ let () =
           Alcotest.test_case "completions at 10^9" `Quick test_symbolic_comp_huge;
         ] );
       ( "comp-codd",
-        [ Alcotest.test_case "beats brute" `Quick test_comp_codd_beats_brute ] );
+        [
+          Alcotest.test_case "beats brute" `Quick test_comp_codd_beats_brute;
+          Alcotest.test_case "rejects naive" `Quick test_comp_rejects_naive;
+        ] );
       ( "comp-bounds",
         [ Alcotest.test_case "bounds meet" `Quick test_comp_bounds_meet ] );
       ( "answers",

@@ -4,8 +4,14 @@
      every sub-database of a random universe, for BCQs, negations,
      unions and inequalities;
    - opaque queries do not compile, and clauses are minimal;
-   - the elimination kernel that reads the lineage counts correctly past
-     one machine word of candidate facts. *)
+   - the Lemma B.2 completion test (Codd.is_completion) accepts exactly
+     the candidate subsets some valuation produces, also across the
+     machine-word boundaries of the candidate universe;
+   - the elimination kernel that reads the lineage agrees with brute
+     force under negated queries, declines opaque ones and oversized
+     universes with typed errors, gives the same totals at every job
+     count, and counts correctly past one machine word of candidate
+     facts. *)
 
 open Incdb_bignum
 open Incdb_cq
@@ -117,6 +123,148 @@ let test_lineage_minimality () =
       (Lineage.Wide.clauses l)
 
 (* ------------------------------------------------------------------ *)
+(* Lemma B.2 completion test on whole candidate universes              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every subset of the candidate universe, not only completions and
+   their one-fact mutations: stray, missing and doubled-up facts must all
+   be rejected exactly when no valuation produces the subset. *)
+let prop_is_completion_every_subset =
+  QCheck.Test.make ~count:80
+    ~name:"Codd.is_completion = valuation search on every candidate subset"
+    QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
+    (fun seed ->
+      let db =
+        Gen.random_idb ~seed ~schema:[ ("R", 1); ("S", 2) ] ~rows:2 ~codd:true
+          ~uniform:(seed mod 2 = 0)
+      in
+      let universe = Gen.candidate_facts db in
+      QCheck.assume (Array.length universe <= 10);
+      List.for_all
+        (fun k ->
+          let s = subset_of universe k in
+          Codd.is_completion db s = Codd.is_completion_brute db s)
+        (List.init (1 lsl Array.length universe) Fun.id))
+
+let test_fact_can_produce () =
+  let db =
+    Idb.make
+      [ Idb.fact "R" [ Term.null "n"; Term.const "a"; Term.null "n" ] ]
+      (Idb.Nonuniform [ ("n", [ "b"; "c" ]) ])
+  in
+  let f = List.hd (Idb.facts db) in
+  let can args = Codd.fact_can_produce db f (Cdb.fact "R" args) in
+  Alcotest.(check bool) "n = b" true (can [ "b"; "a"; "b" ]);
+  Alcotest.(check bool) "n = c" true (can [ "c"; "a"; "c" ]);
+  Alcotest.(check bool) "repeated null takes one value" false
+    (can [ "b"; "a"; "c" ]);
+  Alcotest.(check bool) "constant must match" false (can [ "b"; "b"; "b" ]);
+  Alcotest.(check bool) "value outside the null's domain" false
+    (can [ "a"; "a"; "a" ]);
+  Alcotest.(check bool) "other relation" false
+    (Codd.fact_can_produce db f (Cdb.fact "S" [ "b"; "a"; "b" ]));
+  Alcotest.(check bool) "other arity" false (can [ "b"; "a" ])
+
+(* ------------------------------------------------------------------ *)
+(* Elimination kernel on Codd tables                                   *)
+(* ------------------------------------------------------------------ *)
+
+let has_r =
+  Query.Semantic
+    {
+      Query.name = "has R";
+      monotone = true;
+      sem_eval = (fun s -> Cdb.cardinal s > 0);
+    }
+
+(* Negation flips the compiled lineage; an opaque query has none, so
+   the kernel declines it with a typed reason. *)
+let prop_kernel_vs_brute_negated =
+  QCheck.Test.make ~count:60
+    ~name:"kernel count = brute force, negated and opaque queries"
+    QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
+    (fun seed ->
+      let db =
+        Gen.random_idb ~seed ~schema:[ ("R", 1); ("S", 1) ] ~rows:3 ~codd:true
+          ~uniform:(seed mod 2 = 0)
+      in
+      QCheck.assume (Gen.manageable ~limit:50_000 db);
+      let q = Query.Bcq (Cq.of_string "R(x), S(x)") in
+      let agrees query =
+        Nat.equal
+          (Comp_kernel.count ~query db)
+          (Brute.count_completions query db)
+      in
+      agrees q && agrees (Query.Not q)
+      && Comp_kernel.plan ~query:has_r db
+         = Error Comp_kernel.Uncompilable_query)
+
+let prop_kernel_jobs_invariant =
+  QCheck.Test.make ~count:40 ~name:"kernel totals bit-identical across jobs"
+    QCheck.(make (QCheck.Gen.int_range 1 1_000_000))
+    (fun seed ->
+      let db =
+        Gen.random_idb ~seed ~schema:[ ("R", 2) ] ~rows:3 ~codd:true
+          ~uniform:(seed mod 2 = 0)
+      in
+      QCheck.assume (Gen.manageable ~limit:50_000 db);
+      let q = Cq.of_string "R(x,x)" in
+      let algo1, n1 = Count_comp.count ~jobs:1 q db in
+      List.for_all
+        (fun jobs ->
+          let algo, n = Count_comp.count ~jobs q db in
+          algo = algo1 && Nat.equal n n1)
+        [ 2; 4 ])
+
+(* Six unary nulls, each over {v0, v1, v2, w_i}: no two facts are
+   interchangeable, so the plan keeps six fact windows open.  Below that
+   width bound the dispatcher falls to brute force, whose typed limit
+   reports the real valuation count 4^6. *)
+let test_brute_limit_typed () =
+  let nulls = List.init 6 (Printf.sprintf "n%d") in
+  let db =
+    Idb.make
+      (List.map (fun n -> Idb.fact "R" [ Term.null n ]) nulls)
+      (Idb.Nonuniform
+         (List.mapi
+            (fun i n -> (n, [ "v0"; "v1"; "v2"; Printf.sprintf "w%d" i ]))
+            nulls))
+  in
+  let expected = Brute.count_all_completions db in
+  (match Count_comp.count_all ~comp_width_bound:1 ~brute_limit:1_000 db with
+  | _ -> Alcotest.fail "expected Too_many_valuations"
+  | exception Idb.Too_many_valuations { total; limit } ->
+    check_nat "valuations" (Nat.of_int 4096) total;
+    Alcotest.(check int) "limit" 1_000 limit);
+  let algo, n = Count_comp.count_all ~comp_width_bound:1 ~brute_limit:4096 db in
+  Alcotest.(check string) "a higher brute limit lifts the error"
+    (Count_comp.algorithm_to_string Count_comp.Brute_force)
+    (Count_comp.algorithm_to_string algo);
+  check_nat "brute count" expected n;
+  let algo, n = Count_comp.count_all ~brute_limit:1_000 db in
+  Alcotest.(check string) "the default width bound plans it"
+    (Count_comp.algorithm_to_string Count_comp.Lineage_elimination)
+    (Count_comp.algorithm_to_string algo);
+  check_nat "kernel count" expected n
+
+let test_universe_probe () =
+  let db =
+    Idb.make
+      [ Idb.fact "R" [ Term.null "n" ] ]
+      (Idb.Uniform (List.init 8 (fun i -> "v" ^ string_of_int i)))
+  in
+  (match Comp_kernel.plan ~max_universe:8 db with
+  | Ok p -> Alcotest.(check int) "full universe" 8 (Comp_kernel.plan_universe p)
+  | Error i -> Alcotest.fail (Comp_kernel.infeasible_to_string i));
+  match Comp_kernel.plan ~max_universe:7 db with
+  | Error (Comp_kernel.Universe_too_large { universe; limit }) ->
+    (* Grounding stops at the first candidate past the cap. *)
+    Alcotest.(check int) "stops one past the cap" 8 universe;
+    Alcotest.(check int) "limit" 7 limit
+  | Error i -> Alcotest.fail (Comp_kernel.infeasible_to_string i)
+  | Ok _ -> Alcotest.fail "expected Universe_too_large"
+
+(* ------------------------------------------------------------------ *)
 (* Past one machine word of candidate facts                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -191,6 +339,43 @@ let test_word_boundary_counts () =
         n)
     [ [ 21; 21; 21 ]; [ 21; 21; 22 ]; [ 21; 22; 22 ] ]
 
+(* The matching side of the same universes: the bipartite graph of
+   Lemma B.2 has 63, 64 or 65 right-hand candidates.  Hand-picked
+   subsets cover a valid one-fact-per-null completion (including the
+   highest candidate), a same-null double assignment (every fact of the
+   table can produce a fact of the subset, but no matching saturates it),
+   an oversized subset and the whole universe; the backtracking and
+   valuation-search tests must give the same verdicts. *)
+let test_codd_matching_boundary () =
+  List.iter
+    (fun sizes ->
+      let m = List.fold_left ( + ) 0 sizes in
+      let db = disjoint_codd sizes in
+      let universe = Gen.candidate_facts db in
+      Alcotest.(check int) "universe size" m (Array.length universe);
+      let check name expected subset =
+        List.iter
+          (fun (test, verdict) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s, %s (m=%d)" name test m)
+              expected (verdict db subset))
+          [
+            ("matching", Codd.is_completion);
+            ("backtracking", Codd.is_completion_naive);
+            ("valuation search", Codd.is_completion_brute ?limit:None);
+          ]
+      in
+      let facts values =
+        Cdb.of_list (List.map (fun v -> Cdb.fact "R" [ v ]) values)
+      in
+      let last i = Printf.sprintf "b%d_%d" i (List.nth sizes i - 1) in
+      check "one per null" true (facts [ "b0_0"; last 1; last 2 ]);
+      check "two from one null" false (facts [ "b0_0"; "b0_1"; "b1_0" ]);
+      check "four facts, three nulls" false
+        (facts [ "b0_0"; "b1_0"; "b2_0"; last 2 ]);
+      check "whole universe" false (Cdb.of_list (Array.to_list universe)))
+    [ [ 21; 21; 21 ]; [ 21; 21; 22 ]; [ 21; 22; 22 ] ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -205,11 +390,25 @@ let () =
             test_lineage_semantic_uncompilable;
           Alcotest.test_case "minimality" `Quick test_lineage_minimality;
         ] );
+      ( "codd",
+        [
+          to_alcotest prop_is_completion_every_subset;
+          Alcotest.test_case "fact_can_produce" `Quick test_fact_can_produce;
+        ] );
+      ( "kernel",
+        [
+          to_alcotest prop_kernel_vs_brute_negated;
+          to_alcotest prop_kernel_jobs_invariant;
+          Alcotest.test_case "typed brute limit" `Quick test_brute_limit_typed;
+          Alcotest.test_case "universe probe" `Quick test_universe_probe;
+        ] );
       ( "wide",
         [
           Alcotest.test_case "beyond word ceiling" `Quick
             test_beyond_word_ceiling;
           Alcotest.test_case "counts at 63/64/65" `Quick
             test_word_boundary_counts;
+          Alcotest.test_case "Codd matching at 63/64/65" `Quick
+            test_codd_matching_boundary;
         ] );
     ]

@@ -201,9 +201,15 @@ let test_chrome_lanes () =
       Events.reset ();
       (* Enough tasks that with 4 workers at least one spawned domain
          claims a chunk; every worker emits its lane-covering span
-         regardless. *)
+         regardless.  The enclosing span holds the main domain's ring for
+         the whole run: a worker that exits early returns its ring, and
+         without the enclosing span the main domain's first event could
+         take that ring over, leaving one lane. *)
       let tasks = List.init 32 (fun i () -> i * i) in
-      let (_ : int list) = Incdb_par.Pool.run ~jobs:4 tasks in
+      let (_ : int list) =
+        Events.with_span "test.pool_run" (fun () ->
+            Incdb_par.Pool.run ~jobs:4 tasks)
+      in
       let j = Chrome.to_json () in
       let events =
         get_exn "traceEvents"
