@@ -3,8 +3,6 @@
 
    - a uniform Codd table past any size where enumerating candidate
      subsets is practical, counted by the forced kernel;
-   - a nonuniform Codd table with a join query, which the default
-     dispatcher routes to the kernel, against brute force;
    - a non-Codd table with a shared null, against brute force.
 
    Every kernel leg runs under each jobs x cache configuration and must
@@ -107,65 +105,6 @@ let elim_row ?(d = 120) ?(n = 3) () =
     (List.length elim_configs)
     (String.concat ", " times)
 
-(* A nonuniform Codd table with a join: facts B(?a_i, k_i) and U(?b_i)
-   for i < [pairs], every null over [d] consecutive values — ?a_i from
-   v(i*d/2), ?b_i from v(d/4 + i*d), so the U-images are disjoint and
-   overlap the B-images — with query B(x,y), U(x): [2 * pairs * d]
-   candidate facts.  No closed form applies, so the default dispatcher
-   routes it to the kernel; the brute leg enumerates the d^(2 pairs)
-   valuations. *)
-let codd_join_db ~pairs ~d =
-  let open Incdb_incomplete in
-  let from lo = List.init d (fun j -> "v" ^ string_of_int (lo + j)) in
-  let facts, doms =
-    List.split
-      (List.concat
-         (List.init pairs (fun i ->
-              let a = Printf.sprintf "a%d" i and b = Printf.sprintf "b%d" i in
-              [
-                ( Idb.fact "B" [ Term.null a; Term.const (Printf.sprintf "k%d" i) ],
-                  (a, from (i * d / 2)) );
-                (Idb.fact "U" [ Term.null b ], (b, from ((d / 4) + (i * d))));
-              ])))
-  in
-  Idb.make facts (Idb.Nonuniform doms)
-
-let codd_join_row ?(pairs = 2) ?(d = 20) () =
-  let db = codd_join_db ~pairs ~d in
-  let q = Incdb_cq.Cq.of_string "B(x,y), U(x)" in
-  let cands =
-    match Comp_kernel.plan db with
-    | Ok p -> Comp_kernel.plan_universe p
-    | Error _ -> assert false
-  in
-  assert (cands = 2 * pairs * d);
-  let algo, n_auto = Count_comp.count q db in
-  assert (algo = Count_comp.Lineage_elimination);
-  let _, t_kernel = time_best (fun () -> snd (Count_comp.count q db)) in
-  let n_sweep, times = sweep_configs ~query:q db in
-  assert (Nat.equal n_sweep n_auto);
-  let n_brute, t_brute =
-    Instances.time (fun () ->
-        Incdb_par.Brute_par.count_completions ~jobs:1
-          (Incdb_cq.Query.Bcq q) db)
-  in
-  assert (Nat.equal n_auto n_brute);
-  Printf.printf
-    "  nonuniform Codd join (%d candidates): kernel %.3fs  brute %.3fs  \
-     (%.0fx, Brute_par verified; bit-identical over %d configs)\n\
-     %!"
-    cands t_kernel t_brute (t_brute /. t_kernel)
-    (List.length elim_configs);
-  Printf.sprintf
-    "    { \"section\": \"comp_elim:codd-join-%d-candidates\", \
-     \"result\": %S,\n\
-    \      \"kernel_seconds\": %.6f, \"brute_seconds\": %.6f,\n\
-    \      \"speedup_vs_brute\": %.3f, \"configs_swept\": %d,\n\
-    \      \"times\": [ %s ] }"
-    cands (Nat.to_string n_auto) t_kernel t_brute
-    (t_brute /. t_kernel) (List.length elim_configs)
-    (String.concat ", " times)
-
 (* The first non-Codd row the dispatcher solves without brute force: a
    shared null across R and S (plus free nulls on both sides), which no
    closed form accepts.  The kernel conditions on
@@ -233,16 +172,14 @@ let run () =
   (* Explicit sequencing: list elements evaluate right-to-left, which
      would reverse the progress lines. *)
   let r1 = elim_row () in
-  let r2 = codd_join_row () in
-  let r3 = noncodd_row () in
-  write_sections [ r1; r2; r3 ]
+  let r2 = noncodd_row () in
+  write_sections [ r1; r2 ]
 
 (* Tiny sizes for @bench-smoke: the same rows and assertions, with the
-   uniform table shrunk to 30 candidates, the join to 24 and the
-   non-Codd sweep to an 8-value domain. *)
+   uniform table shrunk to 30 candidates and the non-Codd sweep to an
+   8-value domain. *)
 let smoke () =
   Printf.printf "\n=== Completion kernel (smoke) ===\n%!";
   let (_ : string) = elim_row ~d:30 ~n:2 () in
-  let (_ : string) = codd_join_row ~pairs:2 ~d:6 () in
   let (_ : string) = noncodd_row ~d:8 ~free_r:1 ~free_s:1 () in
   ()

@@ -223,12 +223,9 @@ let run_estimator ~seed ~samples q db =
             (* One timeline event per batch of [snap_every] samples, so
                a trace shows the estimator's cadence and convergence
                without an event per draw. *)
-            Obs_events.instant "karp_luby.sample_batch"
-              ~args:
-                [
-                  ("samples", Obs_events.Int s);
-                  ("hits", Obs_events.Int !hits);
-                ]
+            let h = !hits in
+            Obs_events.instant "karp_luby.sample_batch" ~args:(fun () ->
+                [ ("samples", Obs_events.Int s); ("hits", Obs_events.Int h) ])
           end
         done);
     let rate = float_of_int !hits /. float_of_int samples in

@@ -70,6 +70,7 @@ let default_max_cells = 1 lsl 16
 
 (* Fact and clause window slots live in single-word masks. *)
 let max_slots = 62
+let max_width_bound = max_slots
 
 (* Registered eagerly so the kernel's activity always shows up in metric
    exports, at zero when it never ran. *)
@@ -851,11 +852,11 @@ let run ?(max_states = default_max_states) ?(max_cells = default_max_cells)
             let bag = p.steps.(!i).bag in
             let states_in = Array.length !keys in
             Events.with_span "comp_kernel.bag"
-              ~args:
+              ~args:(fun () ->
                 [
                   ("bag", Events.Int bag);
                   ("states", Events.Int states_in);
-                ]
+                ])
               (fun () ->
                 while !i < nsteps && p.steps.(!i).bag = bag do
                   step !i;

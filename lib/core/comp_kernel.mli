@@ -77,6 +77,10 @@ exception Infeasible of infeasible
 val infeasible_to_string : infeasible -> string
 
 val default_width_bound : int
+
+(** The widest sweep the kernel can run at all (its window slots live in
+    single-word masks); a larger [width_bound] acts as this one. *)
+val max_width_bound : int
 val default_max_branches : int
 val default_max_universe : int
 val default_max_states : int

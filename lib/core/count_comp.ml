@@ -396,26 +396,39 @@ module Log = Incdb_obs.Log
    counting call does not rebuild it. *)
 type route = R_uniform | R_elim of Comp_kernel.plan | R_brute
 
+let brute_refuses ~brute_limit db =
+  match Nat.to_int_opt (Idb.total_valuations db) with
+  | Some t -> t > brute_limit
+  | None -> true
+
 (* Policy: the Theorem 4.6 closed enumeration when it applies; then the
    elimination kernel whenever it can compile a plan, Codd or not; brute
-   force as the last resort.  [Force] requires the kernel — it overrides
-   every other arm, the closed form included, and makes plan failures
-   loud instead of falling back; [Off] keeps the closed form and sends
-   everything else to brute force. *)
-let dispatch_route ~comp_elim ?comp_width_bound query db =
+   force as the last resort.  Under [Auto] the width bound only says when
+   brute force is preferred: a plan past it is re-planned at the kernel's
+   full width when brute force would refuse the table anyway (the DP's
+   state budget still caps that run).  [Force] requires the kernel — it
+   overrides every other arm, the closed form included, and makes plan
+   failures loud instead of falling back; [Off] keeps the closed form and
+   sends everything else to brute force. *)
+let dispatch_route ?(brute_limit = Incdb_par.Brute_par.default_limit)
+    ~comp_elim ?comp_width_bound query db =
   Trace.with_span "count_comp.pattern_match" (fun () ->
       if comp_elim <> Comp_kernel.Force && applicable query db then R_uniform
       else if comp_elim = Comp_kernel.Off then R_brute
       else
-        match
-          Comp_kernel.plan
-            ?query:(Option.map (fun q -> Query.Bcq q) query)
-            ?width_bound:comp_width_bound db
-        with
+        let query = Option.map (fun q -> Query.Bcq q) query in
+        match Comp_kernel.plan ?query ?width_bound:comp_width_bound db with
         | Ok p -> R_elim p
-        | Error i ->
-          if comp_elim = Comp_kernel.Force then raise (Comp_kernel.Infeasible i)
-          else R_brute)
+        | Error i when comp_elim = Comp_kernel.Force ->
+          raise (Comp_kernel.Infeasible i)
+        | Error (Comp_kernel.Width_exceeded _) when brute_refuses ~brute_limit db
+          -> (
+          match
+            Comp_kernel.plan ?query ~width_bound:Comp_kernel.max_width_bound db
+          with
+          | Ok p -> R_elim p
+          | Error _ -> R_brute)
+        | Error _ -> R_brute)
 
 (* Shared back half of [count]/[count_all]: run the routed engine, with
    the elimination arm falling back to brute force if the DP outgrows
@@ -453,7 +466,9 @@ let count ?brute_limit ?(jobs = 1) ?(comp_elim = Comp_kernel.Auto)
     ?comp_width_bound ?comp_max_cells ?comp_max_states ?comp_cache ?comp_memos
     ?comp_spill_dir q db =
   Trace.with_span "count_comp.count" (fun () ->
-      let route = dispatch_route ~comp_elim ?comp_width_bound (Some q) db in
+      let route =
+        dispatch_route ?brute_limit ~comp_elim ?comp_width_bound (Some q) db
+      in
       let algo, n =
         run_route ?brute_limit ~jobs ~comp_elim ?comp_max_cells
           ?comp_max_states ?comp_cache ?comp_memos ?comp_spill_dir (Some q) db
@@ -467,7 +482,9 @@ let count_all ?brute_limit ?(jobs = 1) ?(comp_elim = Comp_kernel.Auto)
     ?comp_width_bound ?comp_max_cells ?comp_max_states ?comp_cache ?comp_memos
     ?comp_spill_dir db =
   Trace.with_span "count_comp.count" (fun () ->
-      let route = dispatch_route ~comp_elim ?comp_width_bound None db in
+      let route =
+        dispatch_route ?brute_limit ~comp_elim ?comp_width_bound None db
+      in
       let algo, n =
         run_route ?brute_limit ~jobs ~comp_elim ?comp_max_cells
           ?comp_max_states ?comp_cache ?comp_memos ?comp_spill_dir None db

@@ -70,7 +70,8 @@ val uniform_symbolic :
     and raises {!Comp_kernel.Infeasible} when it declines; under [Auto] a
     mid-run [Too_many_states] falls back to brute force.
     [comp_width_bound] caps the sweep's open fact windows (plan-time,
-    typed failure), [comp_max_cells] bounds the in-memory bag-boundary
+    typed failure; under [Auto], a table past it whose valuations exceed
+    [brute_limit] is re-planned at {!Comp_kernel.max_width_bound}), [comp_max_cells] bounds the in-memory bag-boundary
     message before counts spill to disk under [comp_spill_dir],
     [comp_max_states] bounds the DP frontier, [comp_cache] (default
     [true]) toggles the kernel's antichain transform memos, and

@@ -7,11 +7,11 @@ module Events = Incdb_obs.Events
 module Log = Incdb_obs.Log
 module Iset = Set.Make (Int)
 
-(* Hoisted flight-recorder args for the per-lookup cache instants: the
-   cache probe is the kernel's hottest event site, and a literal list
+(* Toplevel flight-recorder args for the per-lookup cache instants: the
+   cache probe is the kernel's hottest event site, and a closure built
    there would allocate even with observability disabled. *)
-let cache_hit_args = [ ("cache", Events.Str "hit") ]
-let cache_miss_args = [ ("cache", Events.Str "miss") ]
+let cache_hit_args () = [ ("cache", Events.Str "hit") ]
+let cache_miss_args () = [ ("cache", Events.Str "miss") ]
 
 exception Too_many_events of { events : int; limit : int }
 
@@ -633,14 +633,14 @@ let eliminate_treedec cfg ctx mode td clauses =
       Metrics.incr slots_eliminated ~by:(k - Array.length sep)
     in
     Events.with_span "val_kernel.bag"
-      ~args:
+      ~args:(fun () ->
         [
           ("bag", Events.Int i);
           ("slots", Events.Int k);
           ("cells", Events.Int (sep_cells * inner_cells));
           ("sep_cells", Events.Int sep_cells);
           ("spilled", Events.Int (if spill_this then 1 else 0));
-        ]
+        ])
       run
   in
   Fun.protect
@@ -696,13 +696,11 @@ let rec solve cfg ~jobs dom clauses live =
    share: residues that differ only in slot names or in which concrete
    values survived the split collapse to one entry. *)
 and solve_component cfg ~jobs dom clauses slots =
-  if Incdb_obs.Runtime.enabled () then
-    Events.instant "val_kernel.component"
-      ~args:
-        [
-          ("slots", Events.Int (Array.length slots));
-          ("clauses", Events.Int (Array.length clauses));
-        ];
+  if Incdb_obs.Runtime.enabled () then begin
+    let nslots = Array.length slots and nclauses = Array.length clauses in
+    Events.instant "val_kernel.component" ~args:(fun () ->
+        [ ("slots", Events.Int nslots); ("clauses", Events.Int nclauses) ])
+  end;
   match cfg.cache with
   | None -> solve_component_uncached cfg ~jobs dom clauses slots
   | Some cache ->
@@ -769,17 +767,19 @@ and solve_component_uncached cfg ~jobs dom clauses slots =
   in
   match dp with
   | Some (m, td) -> (
+    let nslots = Array.length slots and nclauses = Array.length clauses in
+    let nbags = Treedec.bag_count td in
     match
       Events.with_span "val_kernel.eliminate_component"
-        ~args:
+        ~args:(fun () ->
           [
             ("width", Events.Int width);
             ("cells", Events.Int cells);
-            ("slots", Events.Int (Array.length slots));
-            ("clauses", Events.Int (Array.length clauses));
-            ("bags", Events.Int (Treedec.bag_count td));
+            ("slots", Events.Int nslots);
+            ("clauses", Events.Int nclauses);
+            ("bags", Events.Int nbags);
             ("store", Events.Str (store_mode_to_string m));
-          ]
+          ])
         (fun () -> eliminate_treedec cfg ctx m td clauses)
     with
     | n ->
@@ -839,13 +839,14 @@ and condition_component cfg ~jobs dom ctx clauses slots width =
     @ (if dj > m then [ other ] else [])
   in
   let results =
+    let nbranches = List.length tasks in
     Events.with_span "val_kernel.condition"
-      ~args:
+      ~args:(fun () ->
         [
           ("slot", Events.Int j);
-          ("branches", Events.Int (List.length tasks));
+          ("branches", Events.Int nbranches);
           ("width", Events.Int width);
-        ]
+        ])
       (fun () ->
         if jobs <> 1 then Incdb_par.Pool.run ~jobs tasks
         else List.map (fun t -> t ()) tasks)
@@ -893,7 +894,8 @@ let count ?(width_bound = default_width_bound)
         if n > max_events then
           raise (Too_many_events { events = n; limit = max_events });
         Metrics.incr events_compiled ~by:n;
-        Events.instant "val_kernel.compiled" ~args:[ ("events", Events.Int n) ];
+        Events.instant "val_kernel.compiled" ~args:(fun () ->
+            [ ("events", Events.Int n) ]);
         let clauses =
           Lineage.minimal_fixes (Incdb_approx.Karp_luby.encode_fixes evs db)
         in

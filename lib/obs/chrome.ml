@@ -42,7 +42,7 @@ let event_to_json ~base ~tid (e : Events.event) =
     | Events.Begin | Events.End -> fields
   in
   let fields =
-    match e.Events.args with
+    match e.Events.args () with
     | [] -> fields
     | args ->
       fields

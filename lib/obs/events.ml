@@ -12,15 +12,23 @@
    contention between pool workers.  The global registry of rings (read
    by [snapshot], written when a domain takes or returns a ring) is the
    only mutex, and it is never taken on the recording path after a
-   domain's first event.  A domain that exits returns its ring to a free
-   list and the next domain to record takes it over, events and all: the
-   registry holds one ring per domain live at once, not one per domain
-   ever spawned, and a lane of the timeline is a ring, which short-lived
-   pool workers share one after another.  On overflow the ring
-   overwrites its oldest entry — newest events are kept, because the
-   end of a run is where a post-mortem looks first — and every overwrite
-   increments the exact [obs.events_dropped] counter (also available,
-   reset-proof within a generation, as [dropped ()]).
+   domain's first event.  A spawned domain that exits returns its ring
+   to a free list and the next spawned domain to record takes it over,
+   events and all: the registry holds one ring per domain live at once,
+   not one per domain ever spawned, and a lane of the timeline is a
+   ring, which short-lived pool workers share one after another.  The
+   main domain never takes a recycled ring, so its events keep a lane of
+   their own.  On overflow the ring overwrites its oldest entry — newest
+   events are kept, because the end of a run is where a post-mortem
+   looks first — and every overwrite increments the exact
+   [obs.events_dropped] counter (also available, reset-proof within a
+   generation, as [dropped ()]).
+
+   An event's args are a thunk the exporters call: a probe passes a
+   closure over the values it reports, which a full ring retains at a
+   few words per event, where a list of boxed key/value pairs costs
+   eight words per arg.  The closure must capture values, not mutable
+   state or large structures.
 
    When observability is disabled every probe is one atomic load and a
    branch, like the rest of Incdb_obs. *)
@@ -32,10 +40,11 @@ type event = {
   ts : int; (* monotonic nanoseconds, Runtime.now_ns *)
   name : string;
   phase : phase;
-  args : (string * arg) list;
+  args : unit -> (string * arg) list;
 }
 
-let dummy = { ts = 0; name = ""; phase = Instant; args = [] }
+let no_args () = []
+let dummy = { ts = 0; name = ""; phase = Instant; args = no_args }
 
 type ring = {
   rdom : int; (* owning domain id: the timeline lane *)
@@ -58,10 +67,7 @@ let rings : ring list ref = ref []
    [rings] (their events stay exportable), waiting for a new owner. *)
 let free : ring list ref = ref []
 
-(* A full ring holds the heap: in incdbd a retained event costs about
-   0.5 KB (record, args list and the GC's headroom), so a 32 768-slot
-   ring is ~17 MB per domain at steady state. *)
-let default_capacity = 32_768
+let default_capacity = 65_536
 let capacity = ref default_capacity
 
 (* Applies to rings created afterwards; call [reset] to retire the
@@ -98,10 +104,14 @@ let my_ring () =
   match !cell with
   | Some r when r.rgen = gen -> r
   | prev ->
+    (* The main domain always opens a ring of its own, so its events never
+       land in the lane of a worker whose ring it took over; spawned
+       domains reuse the rings of exited ones. *)
+    let main = Domain.is_main_domain () in
     let r =
       Mutex.protect registry_lock (fun () ->
           match !free with
-          | r :: rest when r.rgen = gen ->
+          | r :: rest when (not main) && r.rgen = gen ->
             free := rest;
             r
           | _ ->
@@ -116,11 +126,12 @@ let my_ring () =
             rings := r :: !rings;
             r)
     in
-    if Option.is_none prev then Domain.at_exit (fun () -> release cell);
+    if Option.is_none prev && not main then
+      Domain.at_exit (fun () -> release cell);
     cell := Some r;
     r
 
-let emit phase ?(args = []) name =
+let emit phase ?(args = no_args) name =
   if Runtime.enabled () then begin
     let r = my_ring () in
     let cap = Array.length r.buf in

@@ -23,6 +23,9 @@ open Incdb_relational
 open Incdb_cq
 open Incdb_incomplete
 
+(** The [limit] every engine uses when none is given: [4_000_000]. *)
+val default_limit : int
+
 (** [#Val(q)(db)], sharded. *)
 val count_valuations : ?limit:int -> ?jobs:int -> Query.t -> Idb.t -> Nat.t
 

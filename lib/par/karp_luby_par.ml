@@ -50,7 +50,8 @@ let run_estimator ?(jobs = 0) ~seed ~samples q db =
             (samples / nstreams) + (if s < samples mod nstreams then 1 else 0)
           in
           Events.with_span "karp_luby.stream"
-            ~args:[ ("stream", Events.Int s); ("count", Events.Int count) ]
+            ~args:(fun () ->
+              [ ("stream", Events.Int s); ("count", Events.Int count) ])
             (fun () -> stream_hits ~seed ~stream:s ~count compiled))
     in
     let hits =

@@ -62,7 +62,7 @@ let run ~jobs tasks =
             if Atomic.compare_and_set next i stop then begin
               Metrics.incr chunks_claimed;
               Events.instant "pool.claim"
-                ~args:[ ("lo", Events.Int i); ("hi", Events.Int stop) ];
+                ~args:(fun () -> [ ("lo", Events.Int i); ("hi", Events.Int stop) ]);
               Some (i, stop)
             end
             else go ()
@@ -80,7 +80,7 @@ let run ~jobs tasks =
                  task is guaranteed to execute and win the failure cell,
                  whatever the schedule. *)
               Events.with_span "pool.chunk"
-                ~args:[ ("lo", Events.Int lo); ("hi", Events.Int hi) ]
+                ~args:(fun () -> [ ("lo", Events.Int lo); ("hi", Events.Int hi) ])
                 (fun () ->
                   for i = lo to hi - 1 do
                     match tasks.(i) () with

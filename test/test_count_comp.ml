@@ -248,6 +248,50 @@ let test_dispatch_80_candidates () =
     (Incdb_par.Brute_par.count_completions ~jobs:2 (Query.Bcq q) db)
     n
 
+(* 18 facts R(?n_i), each null over {v0, v1, v2, w_i}: every fact window
+   overlaps the others, so the sweep is 18 wide, past the default width
+   bound, and the 4^18 valuations are past the brute-force limit.  The
+   dispatcher must re-plan at the kernel's full width rather than refuse.
+   A completion picks the set W of nulls sent to their own w_i and a
+   nonempty S ⊆ {v0, v1, v2} covered by the k = 18 - |W| others
+   (|S| ≤ k), so #Comp = 1 + 18·3 + C(18,2)·6 + (2^18 - 1 - 18 - 153)·7. *)
+let test_dispatch_past_width_bound () =
+  let n = 18 in
+  let db =
+    Idb.make
+      (List.init n (fun i ->
+           Idb.fact_of_strings "R" [ Printf.sprintf "?n%d" i ]))
+      (Idb.Nonuniform
+         (List.init n (fun i ->
+              ( Printf.sprintf "n%d" i,
+                [ "v0"; "v1"; "v2"; Printf.sprintf "w%d" i ] ))))
+  in
+  let q = Cq.of_string "R(x)" in
+  Alcotest.(check bool) "no plan within the default width bound" true
+    (Result.is_error (Comp_kernel.plan ~query:(Query.Bcq q) db));
+  let algo, c = Count_comp.count q db in
+  Alcotest.(check string) "routed to lineage elimination"
+    (Count_comp.algorithm_to_string Count_comp.Lineage_elimination)
+    (Count_comp.algorithm_to_string algo);
+  check_nat "hand count" (Nat.of_int 1_834_777) c;
+  (* Brute force can answer a small enough table, so the bound keeps
+     sending it there. *)
+  let small = 8 in
+  let db8 =
+    Idb.make
+      (List.init small (fun i ->
+           Idb.fact_of_strings "R" [ Printf.sprintf "?n%d" i ]))
+      (Idb.Nonuniform
+         (List.init small (fun i ->
+              ( Printf.sprintf "n%d" i,
+                [ "v0"; "v1"; "v2"; Printf.sprintf "w%d" i ] ))))
+  in
+  let algo8, c8 = Count_comp.count ~comp_width_bound:4 q db8 in
+  Alcotest.(check string) "narrow bound, small table: brute force"
+    (Count_comp.algorithm_to_string Count_comp.Brute_force)
+    (Count_comp.algorithm_to_string algo8);
+  check_nat "small table = brute" (brute q db8) c8
+
 (* Random nonuniform Codd tables (outside the Theorem 4.6 closed form):
    whenever the kernel compiles a plan, the dispatcher must take it, and
    the count must match brute force. *)
@@ -353,6 +397,8 @@ let () =
           Alcotest.test_case "algorithm selection" `Quick test_dispatcher_algorithms;
           Alcotest.test_case "80-candidate Codd join" `Quick
             test_dispatch_80_candidates;
+          Alcotest.test_case "Codd table past the width bound" `Quick
+            test_dispatch_past_width_bound;
         ] );
       ("properties", props);
     ]

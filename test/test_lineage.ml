@@ -217,9 +217,10 @@ let prop_kernel_jobs_invariant =
         [ 2; 4 ])
 
 (* Six unary nulls, each over {v0, v1, v2, w_i}: no two facts are
-   interchangeable, so the plan keeps six fact windows open.  Below that
-   width bound the dispatcher falls to brute force, whose typed limit
-   reports the real valuation count 4^6. *)
+   interchangeable, so the plan keeps six fact windows open.  Brute
+   force's typed limit reports the real valuation count 4^6; below that
+   width bound the dispatcher falls to brute force while brute force can
+   answer, and re-plans at the kernel's full width once it cannot. *)
 let test_brute_limit_typed () =
   let nulls = List.init 6 (Printf.sprintf "n%d") in
   let db =
@@ -231,16 +232,27 @@ let test_brute_limit_typed () =
             nulls))
   in
   let expected = Brute.count_all_completions db in
-  (match Count_comp.count_all ~comp_width_bound:1 ~brute_limit:1_000 db with
+  let off = Comp_kernel.Off in
+  (match Count_comp.count_all ~comp_elim:off ~brute_limit:1_000 db with
   | _ -> Alcotest.fail "expected Too_many_valuations"
   | exception Idb.Too_many_valuations { total; limit } ->
     check_nat "valuations" (Nat.of_int 4096) total;
     Alcotest.(check int) "limit" 1_000 limit);
-  let algo, n = Count_comp.count_all ~comp_width_bound:1 ~brute_limit:4096 db in
+  let algo, n = Count_comp.count_all ~comp_elim:off ~brute_limit:4096 db in
   Alcotest.(check string) "a higher brute limit lifts the error"
     (Count_comp.algorithm_to_string Count_comp.Brute_force)
     (Count_comp.algorithm_to_string algo);
   check_nat "brute count" expected n;
+  let algo, n = Count_comp.count_all ~comp_width_bound:1 ~brute_limit:4096 db in
+  Alcotest.(check string) "past the width bound, brute force answers"
+    (Count_comp.algorithm_to_string Count_comp.Brute_force)
+    (Count_comp.algorithm_to_string algo);
+  check_nat "brute count" expected n;
+  let algo, n = Count_comp.count_all ~comp_width_bound:1 ~brute_limit:1_000 db in
+  Alcotest.(check string) "past both bounds, the kernel re-plans wide"
+    (Count_comp.algorithm_to_string Count_comp.Lineage_elimination)
+    (Count_comp.algorithm_to_string algo);
+  check_nat "wide kernel count" expected n;
   let algo, n = Count_comp.count_all ~brute_limit:1_000 db in
   Alcotest.(check string) "the default width bound plans it"
     (Count_comp.algorithm_to_string Count_comp.Lineage_elimination)

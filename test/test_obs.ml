@@ -201,15 +201,9 @@ let test_chrome_lanes () =
       Events.reset ();
       (* Enough tasks that with 4 workers at least one spawned domain
          claims a chunk; every worker emits its lane-covering span
-         regardless.  The enclosing span holds the main domain's ring for
-         the whole run: a worker that exits early returns its ring, and
-         without the enclosing span the main domain's first event could
-         take that ring over, leaving one lane. *)
+         regardless. *)
       let tasks = List.init 32 (fun i () -> i * i) in
-      let (_ : int list) =
-        Events.with_span "test.pool_run" (fun () ->
-            Incdb_par.Pool.run ~jobs:4 tasks)
-      in
+      let (_ : int list) = Incdb_par.Pool.run ~jobs:4 tasks in
       let j = Chrome.to_json () in
       let events =
         get_exn "traceEvents"
@@ -253,6 +247,50 @@ let test_chrome_lanes () =
           if stack <> [] then
             Alcotest.fail (Printf.sprintf "lane %d left spans open" tid))
         stacks)
+
+(* Event args are thunks the exporter calls long after emission; each
+   must report the values of its own moment.  The sequential Karp-Luby
+   estimator emits one instant per batch of samples with the running
+   hit count, read from a mutable counter: every batch must export its
+   own count, not the final one. *)
+let test_args_captured_at_emission () =
+  with_fresh_obs (fun () ->
+      Events.reset ();
+      let open Incdb_incomplete in
+      let db =
+        Idb.make
+          [ Idb.fact "R" [ Term.null "n" ] ]
+          (Idb.Nonuniform [ ("n", [ "0"; "1" ]) ])
+      in
+      let q = Incdb_cq.Query.Bcq (Incdb_cq.Cq.of_string "R(x)") in
+      let (_ : float) =
+        Incdb_approx.Karp_luby.estimate ~seed:1 ~samples:1_600 q db
+      in
+      let events =
+        get_exn "traceEvents"
+          (Option.bind (Json.member "traceEvents" (Chrome.to_json ()))
+             Json.to_list)
+      in
+      let arg e k =
+        get_exn k
+          (Option.bind
+             (Option.bind (Json.member "args" e) (Json.member k))
+             Json.to_int)
+      in
+      let batches =
+        List.filter_map
+          (fun e ->
+            match Json.member "name" e with
+            | Some (Json.String "karp_luby.sample_batch") ->
+              Some (arg e "samples", arg e "hits")
+            | _ -> None)
+          events
+      in
+      Alcotest.(check (list int)) "one instant per 100 samples"
+        (List.init 16 (fun i -> 100 * (i + 1)))
+        (List.map fst batches);
+      Alcotest.(check (list int)) "hits as counted at each batch"
+        (List.map fst batches) (List.map snd batches))
 
 (* Rings are bounded by the domains live at once: sequential two-domain
    pool runs hand the worker's ring from one spawned domain to the next
@@ -391,6 +429,8 @@ let () =
           Alcotest.test_case "reset mid-span" `Quick test_reset_mid_span;
           Alcotest.test_case "chrome lanes" `Quick test_chrome_lanes;
           Alcotest.test_case "rings recycled" `Quick test_rings_recycled;
+          Alcotest.test_case "args captured at emission" `Quick
+            test_args_captured_at_emission;
         ] );
       ( "export",
         [
